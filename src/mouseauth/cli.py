@@ -8,6 +8,7 @@ with a config hash and the seeds so reruns are reproducible. Exit codes:
 from __future__ import annotations
 
 import argparse
+import copy
 import dataclasses
 import hashlib
 import json
@@ -22,7 +23,6 @@ from .errors import ConfigError, MouseAuthError
 
 @dataclass
 class PipelineConfig:
-    preset: str = "custom"
     schema: dict = field(
         default_factory=lambda: {
             "timestamp_col": "t",
@@ -87,8 +87,6 @@ class PipelineConfig:
                 raise ConfigError(message)
 
     def schema_map(self) -> ingest.SchemaMap:
-        if self.preset in ingest.SCHEMA_PRESETS:
-            return ingest.SCHEMA_PRESETS[self.preset]
         return ingest.SchemaMap(**self.schema)
 
     def config_hash(self) -> str:
@@ -112,16 +110,23 @@ class PipelineConfig:
             learning_rate=self.learning_rate,
             batch_size=self.batch_size,
             epochs=self.epochs,
-            pos_neg_ratio=self.pos_neg_ratio,
             seed=self.seed,
         )
 
 
+# Balabit and DFL files share one column layout. Balabit carries both a
+# record and a client timestamp; the client one is used.
+_CLIENT_TIMESTAMP_SCHEMA = {
+    "timestamp_col": "client timestamp", "x_col": "x", "y_col": "y", "state_col": "state",
+}
+
 PRESETS = {
     # conservative eps2, 5:1 imbalance
-    "balabit": {"eps1": 1e-4, "eps2": 1e-7, "step_m": 200, "pos_neg_ratio": 5.0},
+    "balabit": {"eps1": 1e-4, "eps2": 1e-7, "step_m": 200, "pos_neg_ratio": 5.0,
+                "schema": _CLIENT_TIMESTAMP_SCHEMA},
     # more aggressive eps2, 8:1 imbalance
-    "dfl": {"eps1": 1e-4, "eps2": 1e-6, "step_m": 200, "pos_neg_ratio": 8.0},
+    "dfl": {"eps1": 1e-4, "eps2": 1e-6, "step_m": 200, "pos_neg_ratio": 8.0,
+            "schema": _CLIENT_TIMESTAMP_SCHEMA},
 }
 
 
@@ -129,12 +134,13 @@ def load_config(args) -> PipelineConfig:
     values: dict = {}
     if args.config:
         values.update(json.loads(Path(args.config).read_text()))
+    # a preset is not a config field: it only fills in the fields it names
     preset = getattr(args, "preset", None) or values.get("preset")
+    values.pop("preset", None)
     if preset:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
-        values.update(PRESETS[preset])
-        values["preset"] = preset
+        values.update(copy.deepcopy(PRESETS[preset]))
     for name in (
         "seed", "out", "dt", "step_m", "eps1", "eps2", "mau_length",
         "slope_threshold", "epochs", "ratio", "unseen_count",
@@ -284,11 +290,11 @@ def cmd_eval(args) -> int:
     cfg.mau_length = mcfg.input_length
     pool = _load_user_pool(cfg, Path(args.data_root))
     split = _split_from_pool(cfg, pool, args.legit_user)
-    report = evaluation.blind_attack_eval(params, split, mcfg)
     X, y = split.test_arrays()
     scored = evaluation.ScoredSet(model.predict_batch(params, X, mcfg), y)
+    report = evaluation.report_scores(scored, split.unseen_mask)
     (out / f"roc_{args.legit_user}.csv").write_text(evaluation.roc_curve_csv(scored))
-    summary = _stamp(cfg, {"legit_user": args.legit_user, **json.loads(report.to_json())})
+    summary = _stamp(cfg, {"legit_user": args.legit_user, **dataclasses.asdict(report)})
     (out / f"eval_{args.legit_user}.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary))
     return 0

@@ -60,10 +60,6 @@ class LabelOutOfRange(MouseAuthError):
     """Class label outside {0, 1}."""
 
 
-class CacheMismatch(MouseAuthError):
-    """Backward called with a cache from a different forward pass."""
-
-
 class SingleClassDataset(MouseAuthError):
     """Training data contains only one class."""
 

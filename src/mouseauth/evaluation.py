@@ -8,7 +8,7 @@ its score reaches the decision threshold. Labels use 1 = legitimate,
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.stats import rankdata
@@ -43,17 +43,7 @@ class EvalReport:
     dsr_at_eer: float | None = None
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "f1": self.f1,
-                "auc": self.auc,
-                "eer": self.eer,
-                "eer_threshold": self.eer_threshold,
-                "counts": self.counts,
-                "dsr": self.dsr,
-                "dsr_at_eer": self.dsr_at_eer,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _require_both_classes(scored: ScoredSet):
@@ -99,6 +89,25 @@ def roc_auc(scored: ScoredSet) -> float:
     return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
+def _sweep(scored: ScoredSet):
+    """Ascending thresholds (all distinct scores plus {0, 1}) and the FAR,
+    FRR and TPR at each, accepting iff score >= t.
+
+    Each class is sorted once and every threshold found in it by binary
+    search (Fawcett 2006, Alg. 1): O((N + T) log N), not O(N * T).
+    """
+    _require_both_classes(scored)
+    legit = np.sort(scored.scores[scored.labels == LEGIT])
+    imp = np.sort(scored.scores[scored.labels == IMPOSTER])
+    thresholds = np.unique(np.concatenate([scored.scores, [0.0, 1.0]]))
+    legit_rejected = np.searchsorted(legit, thresholds, side="left")
+    imp_rejected = np.searchsorted(imp, thresholds, side="left")
+    far = (len(imp) - imp_rejected) / len(imp)
+    frr = legit_rejected / len(legit)
+    tpr = (len(legit) - legit_rejected) / len(legit)
+    return thresholds, far, frr, tpr
+
+
 def eer(scored: ScoredSet) -> tuple[float, float]:
     """Equal error rate and its threshold.
 
@@ -106,18 +115,13 @@ def eer(scored: ScoredSet) -> tuple[float, float]:
     and FRR the legitimate reject rate at threshold t (accept iff score >= t).
     Ties on |FAR - FRR| break toward the lower threshold.
     """
-    _require_both_classes(scored)
-    legit_scores = scored.scores[scored.labels == LEGIT]
-    imp_scores = scored.scores[scored.labels == IMPOSTER]
-    thresholds = np.unique(np.concatenate([scored.scores, [0.0, 1.0]]))
-    best = None
-    for t in thresholds:
-        far = float(np.count_nonzero(imp_scores >= t)) / len(imp_scores)
-        frr = float(np.count_nonzero(legit_scores < t)) / len(legit_scores)
-        gap = abs(far - frr)
-        if best is None or gap < best[0] - 1e-15:
-            best = (gap, (far + frr) / 2.0, float(t))
-    return best[1], best[2]
+    thresholds, far, frr, _ = _sweep(scored)
+    gap = np.abs(far - frr).tolist()
+    best = 0
+    for i, g in enumerate(gap):
+        if g < gap[best] - 1e-15:
+            best = i
+    return float((far[best] + frr[best]) / 2.0), float(thresholds[best])
 
 
 def dsr(attack_scores: np.ndarray, threshold: float = 0.5) -> float:
@@ -212,16 +216,22 @@ def blind_attack_eval(
     config: model_mod.ModelConfig,
     threshold: float = 0.5,
 ) -> EvalReport:
-    """Score the test split and bundle all metrics.
-
-    DSR is computed over the unseen-user MAUs only, at the fixed threshold
-    and again at the EER threshold.
-    """
+    """Score the test split and bundle all metrics (see report_scores)."""
     X, y = split.test_arrays()
-    scores = model_mod.predict_batch(params, X, config)
-    scored = ScoredSet(scores=scores, labels=y)
+    scored = ScoredSet(scores=model_mod.predict_batch(params, X, config), labels=y)
+    return report_scores(scored, split.unseen_mask, threshold)
+
+
+def report_scores(
+    scored: ScoredSet, unseen_mask: list[bool], threshold: float = 0.5
+) -> EvalReport:
+    """All metrics of one scored test split.
+
+    DSR is computed over the unseen-user samples (unseen_mask, aligned with
+    the scores) only, at the fixed threshold and again at the EER threshold.
+    """
     eer_value, eer_thr = eer(scored)
-    unseen_scores = scores[np.asarray(split.unseen_mask, dtype=bool)]
+    unseen_scores = scored.scores[np.asarray(unseen_mask, dtype=bool)]
     report = EvalReport(
         f1=f1_score(scored, threshold),
         auc=roc_auc(scored),
@@ -237,15 +247,9 @@ def blind_attack_eval(
 
 def roc_curve_csv(scored: ScoredSet) -> str:
     """FAR/TPR pairs over the threshold sweep, as CSV for plotting."""
-    _require_both_classes(scored)
-    legit_scores = scored.scores[scored.labels == LEGIT]
-    imp_scores = scored.scores[scored.labels == IMPOSTER]
-    lines = ["far,tpr"]
-    for t in np.unique(np.concatenate([scored.scores, [0.0, 1.0]]))[::-1]:
-        far = float(np.count_nonzero(imp_scores >= t)) / len(imp_scores)
-        tpr = float(np.count_nonzero(legit_scores >= t)) / len(legit_scores)
-        lines.append(f"{far!r},{tpr!r}")
-    return "\n".join(lines) + "\n"
+    _, far, _, tpr = _sweep(scored)
+    rows = zip(far[::-1].tolist(), tpr[::-1].tolist())
+    return "far,tpr\n" + "".join(f"{f!r},{t!r}\n" for f, t in rows)
 
 
 def aggregate_reports(reports: list[EvalReport]) -> dict:

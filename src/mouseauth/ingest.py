@@ -32,18 +32,6 @@ class SchemaMap:
             raise SchemaError("delimiter must be a single character")
 
 
-# Shipped presets for the two public datasets. Balabit carries both a record
-# and a client timestamp; the client one is the default here, overridable.
-BALABIT_SCHEMA = SchemaMap(
-    timestamp_col="client timestamp", x_col="x", y_col="y", state_col="state"
-)
-DFL_SCHEMA = SchemaMap(
-    timestamp_col="client timestamp", x_col="x", y_col="y", state_col="state"
-)
-
-SCHEMA_PRESETS = {"balabit": BALABIT_SCHEMA, "dfl": DFL_SCHEMA}
-
-
 @dataclass(frozen=True)
 class RawEvent:
     t: float

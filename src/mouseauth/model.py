@@ -9,13 +9,12 @@ verified against finite differences.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import (
-    CacheMismatch,
     LabelOutOfRange,
     ShapeMismatch,
     SingleClassDataset,
@@ -34,7 +33,6 @@ class ModelConfig:
     res_blocks: int = 2
     res_kernel: int = 3
     gru_hidden: int = 32
-    classes: int = 2
     seed: int = 0
     standardize: bool = True
 
@@ -45,8 +43,6 @@ class ModelConfig:
                      "res_kernel", "gru_hidden"):
             if getattr(self, name) < 1:
                 raise ShapeMismatch(f"{name} must be >= 1")
-        if self.classes != 2:
-            raise ShapeMismatch("binary classifier: classes must be 2")
 
 
 @dataclass
@@ -57,7 +53,6 @@ class TrainConfig:
     epsilon: float = 1e-8
     batch_size: int = 32
     epochs: int = 20
-    pos_neg_ratio: float = 5.0
     seed: int = 0
 
     def __post_init__(self):
@@ -70,42 +65,43 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # parameters
 
+def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter, in initialization order.
+
+    The head has two outputs: imposter (class 0) and legitimate (class 1).
+    """
+    C, H, K = config.conv_channels, config.gru_hidden, config.res_kernel
+    shapes = {"stem_w": (C, 1, config.kernel_size), "stem_b": (C,)}
+    for i in range(config.res_blocks):
+        shapes.update({f"res{i}_w1": (C, C, K), f"res{i}_b1": (C,),
+                       f"res{i}_w2": (C, C, K), f"res{i}_b2": (C,)})
+    for gate in ("z", "r", "c"):
+        shapes.update({f"gru_w{gate}": (C, H), f"gru_u{gate}": (H, H),
+                       f"gru_b{gate}": (H,)})
+    shapes.update({"head_w": (H, 2), "head_b": (2,)})
+    return shapes
+
+
 def init_params(config: ModelConfig) -> dict[str, np.ndarray]:
     """Seeded uniform init scaled by 1/sqrt(fan_in); zero biases."""
     rng = np.random.default_rng(config.seed)
-    C, H = config.conv_channels, config.gru_hidden
-
-    def uni(shape, fan_in):
-        return rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
-
-    params = {
-        "stem_w": uni((C, 1, config.kernel_size), config.kernel_size),
-        "stem_b": np.zeros(C),
-    }
-    for i in range(config.res_blocks):
-        fan = C * config.res_kernel
-        params[f"res{i}_w1"] = uni((C, C, config.res_kernel), fan)
-        params[f"res{i}_b1"] = np.zeros(C)
-        params[f"res{i}_w2"] = uni((C, C, config.res_kernel), fan)
-        params[f"res{i}_b2"] = np.zeros(C)
-    for gate in ("z", "r", "c"):
-        params[f"gru_w{gate}"] = uni((C, H), C)
-        params[f"gru_u{gate}"] = uni((H, H), H)
-        params[f"gru_b{gate}"] = np.zeros(H)
-    params["head_w"] = uni((H, config.classes), H)
-    params["head_b"] = np.zeros(config.classes)
+    params = {}
+    for name, shape in _param_shapes(config).items():
+        if len(shape) == 1:
+            params[name] = np.zeros(shape)
+            continue
+        # conv kernels (out, in, k) take in * k inputs; dense maps (in, out) take in
+        fan_in = shape[1] * shape[2] if len(shape) == 3 else shape[0]
+        params[name] = rng.uniform(-1.0, 1.0, size=shape) / np.sqrt(fan_in)
     return params
 
 
 def _check_shapes(params: dict[str, np.ndarray], config: ModelConfig):
-    ref = init_params(config)
-    if set(params) != set(ref):
-        raise ShapeMismatch("parameter names do not match the config")
-    for name, arr in ref.items():
-        if params[name].shape != arr.shape:
-            raise ShapeMismatch(
-                f"{name}: expected {arr.shape}, got {params[name].shape}"
-            )
+    shapes = _param_shapes(config)
+    got = {name: arr.shape for name, arr in params.items()}
+    if got != shapes:
+        mismatched = sorted(set(got.items()) ^ set(shapes.items()))
+        raise ShapeMismatch(f"parameters do not match the config: {mismatched}")
 
 
 # ---------------------------------------------------------------------------
@@ -225,19 +221,17 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
 
 def backward(
     params: dict[str, np.ndarray],
-    batch: np.ndarray,
     labels: np.ndarray,
     cache: dict,
     config: ModelConfig,
 ) -> dict[str, np.ndarray]:
-    """Analytic gradients of mean cross-entropy w.r.t. every parameter."""
-    batch = np.asarray(batch, dtype=float)
+    """Analytic gradients of mean cross-entropy w.r.t. every parameter, for
+    the batch whose forward pass produced cache."""
     labels = np.asarray(labels, dtype=int)
-    x = standardize_batch(batch) if config.standardize else batch
-    if "x" not in cache or cache["x"].shape != x.shape or not np.array_equal(cache["x"], x):
-        raise CacheMismatch("cache does not correspond to this batch")
+    B = len(cache["x"])
+    if labels.shape != (B,):
+        raise ShapeMismatch(f"expected {B} labels for the cached batch, got {labels.shape}")
     probs = cache["probs"]
-    B = len(labels)
 
     grads = {name: np.zeros_like(arr) for name, arr in params.items()}
 
@@ -372,7 +366,7 @@ def train(
             idx = order[start : start + tcfg.batch_size]
             probs, cache = forward(params, X[idx], mcfg)
             losses.append(cross_entropy(probs, y[idx]) * len(idx))
-            grads = backward(params, X[idx], y[idx], cache, mcfg)
+            grads = backward(params, y[idx], cache, mcfg)
             params, state = adam_step(params, grads, state, tcfg)
         history.append(float(sum(losses) / len(X)))
     return params, history
@@ -408,7 +402,12 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     payload = json.loads(Path(path).read_text())
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ShapeMismatch(f"unsupported checkpoint version: {payload.get('version')}")
-    config = ModelConfig(**payload["config"])
+    config_doc = dict(payload["config"])
+    # checkpoints written before the head was fixed at two classes record it
+    classes = config_doc.pop("classes", 2)
+    if classes != 2 or set(config_doc) != {f.name for f in fields(ModelConfig)}:
+        raise ShapeMismatch(f"checkpoint config does not match ModelConfig: {payload['config']}")
+    config = ModelConfig(**config_doc)
     params = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
     _check_shapes(params, config)
     return params, config

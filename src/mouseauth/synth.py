@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.signal import lfilter
 
 from .errors import InvalidSpec
 from .kinematics import VelocitySequence
@@ -116,12 +117,8 @@ def generate(
         phi = p.get("phi", 0.5)
         sigma = p.get("sigma", 1.0)
         noise = sigma * rng.normals(n)
-        x = np.empty(n)
-        prev = 0.0  # stationary mean of the zero-mean recursion
-        for i in range(n):
-            prev = phi * prev + noise[i]
-            x[i] = prev
-        v = x + p.get("mean", 0.0)
+        # x[i] = phi * x[i - 1] + noise[i] from x[-1] = 0, the stationary mean
+        v = lfilter([1.0], [1.0, -phi], noise) + p.get("mean", 0.0)
     else:  # sine_plus_noise
         amp = p.get("amplitude", 1.0)
         period = p.get("period", 100.0)

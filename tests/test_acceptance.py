@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mouseauth import evaluation, ingest, kinematics, mau, model, sufficiency, synth
+from mouseauth import cli, evaluation, ingest, kinematics, mau, model, sufficiency, synth
 
 
 def report(name, ok, detail=""):
@@ -194,8 +194,8 @@ def test_criterion_8_dataset_reproduction():
         pytest.skip("set MOUSEAUTH_DATA to a directory of per-user session CSVs")
     root = Path(root)
     preset = os.environ.get("MOUSEAUTH_PRESET", "dfl")
-    eps2 = 1e-7 if preset == "balabit" else 1e-6
-    schema = ingest.SCHEMA_PRESETS[preset]
+    eps2 = cli.PRESETS[preset]["eps2"]
+    schema = ingest.SchemaMap(**cli.PRESETS[preset]["schema"])
     reductions = []
     below = 0
     total_users = 0

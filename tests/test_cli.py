@@ -4,7 +4,9 @@ from pathlib import Path
 import pytest
 
 from mouseauth.cli import PRESETS, PipelineConfig, build_parser, load_config, main
+from mouseauth import model
 from mouseauth.errors import ConfigError
+from mouseauth.ingest import SchemaMap
 from mouseauth.synth import SynthSpec, generate, to_session_csv
 
 
@@ -29,6 +31,22 @@ def test_preset_values():
     assert PRESETS["balabit"]["pos_neg_ratio"] == 5.0
     assert PRESETS["dfl"]["eps2"] == 1e-6
     assert PRESETS["dfl"]["pos_neg_ratio"] == 8.0
+
+
+def test_config_file_preset(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"preset": "dfl", "seed": 3}))
+
+    class Args:
+        config = str(cfg_file)
+        preset = None
+
+    cfg = load_config(Args())
+    assert cfg.seed == 3
+    assert (cfg.eps1, cfg.eps2, cfg.step_m, cfg.pos_neg_ratio) == (1e-4, 1e-6, 200, 8.0)
+    assert cfg.schema_map() == SchemaMap(
+        timestamp_col="client timestamp", x_col="x", y_col="y", state_col="state"
+    )
 
 
 def test_load_config_rejects_bad_values(tmp_path):
@@ -151,6 +169,29 @@ def test_eval_idempotent(tmp_path, capsys):
     assert main(["eval", "--config", str(cfg_file), "--legit-user", "u1",
                  "--out", str(out), ckpt, str(data_root)]) == 0
     assert (out / "eval_u1.json").read_bytes() == first
+
+
+def test_eval_scores_the_test_set_once(tmp_path, capsys, monkeypatch):
+    data_root = write_corpus(tmp_path / "data", length=2000)
+    out = tmp_path / "out"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "mau_length": 20, "epochs": 1, "conv_channels": 2, "kernel_size": 3,
+        "res_blocks": 1, "gru_hidden": 4,
+    }))
+    assert main(["train", "--config", str(cfg_file), "--legit-user", "u1",
+                 "--out", str(out), str(data_root)]) == 0
+    calls = []
+    predict_batch = model.predict_batch
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return predict_batch(*args, **kwargs)
+
+    monkeypatch.setattr(model, "predict_batch", counted)
+    assert main(["eval", "--config", str(cfg_file), "--legit-user", "u1",
+                 "--out", str(out), str(out / "model_u1.json"), str(data_root)]) == 0
+    assert len(calls) == 1
 
 
 def test_synth_command_round_trip(tmp_path, capsys):

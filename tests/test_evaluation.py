@@ -262,11 +262,33 @@ def test_blind_attack_zero_head_model():
     assert report.dsr is not None and report.dsr_at_eer is not None
 
 
+def brute_force_roc_csv(scores, labels):
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels)
+    legit = scores[labels == 1]
+    imp = scores[labels == 0]
+    lines = ["far,tpr"]
+    for t in sorted(set(scores.tolist()) | {0.0, 1.0}, reverse=True):
+        far = float(np.sum(imp >= t)) / len(imp)
+        tpr = float(np.sum(legit >= t)) / len(legit)
+        lines.append(f"{far!r},{tpr!r}")
+    return "\n".join(lines) + "\n"
+
+
 def test_roc_curve_csv():
     s = scored([0.9, 0.1, 0.8, 0.3], [1, 0, 1, 0])
-    lines = roc_curve_csv(s).splitlines()
-    assert lines[0] == "far,tpr"
-    assert len(lines) > 2
+    assert roc_curve_csv(s) == brute_force_roc_csv(s.scores, s.labels)
+    assert roc_curve_csv(s).splitlines()[:2] == ["far,tpr", "0.0,0.0"]
+    rng = np.random.default_rng(5)
+    for trial in range(100):
+        n = int(rng.integers(4, 200))
+        scores = rng.random(n)
+        if trial % 2:
+            scores = np.round(scores, 2)  # forces ties
+        labels = rng.integers(0, 2, n)
+        if labels.min() == labels.max():
+            labels[0] = 1 - labels[0]
+        assert roc_curve_csv(scored(scores, labels)) == brute_force_roc_csv(scores, labels)
 
 
 def test_aggregate_reports():

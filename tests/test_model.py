@@ -1,8 +1,9 @@
+import json
+
 import numpy as np
 import pytest
 
 from mouseauth.errors import (
-    CacheMismatch,
     LabelOutOfRange,
     ShapeMismatch,
     SingleClassDataset,
@@ -92,6 +93,14 @@ def test_forward_shape_mismatch():
     params = init_params(TINY)
     with pytest.raises(ShapeMismatch):
         forward(params, np.zeros((2, 9)), TINY)
+    batch = tiny_batch()
+    for bad in (
+        {**params, "head_w": np.zeros((3, 3))},
+        {k: v for k, v in params.items() if k != "gru_uz"},
+        {**params, "extra": np.zeros(1)},
+    ):
+        with pytest.raises(ShapeMismatch):
+            forward(bad, batch, TINY)
 
 
 def test_residual_identity_with_zero_weights():
@@ -128,7 +137,7 @@ def test_cross_entropy_label_range():
 def finite_difference_check(config, batch, labels, h=1e-5):
     params = init_params(config)
     probs, cache = forward(params, batch, config)
-    grads = backward(params, batch, labels, cache, config)
+    grads = backward(params, labels, cache, config)
     worst = 0.0
     for name, p in params.items():
         it = np.nditer(p, flags=["multi_index"])
@@ -159,17 +168,17 @@ def test_duplicate_sample_gradient():
     two = np.vstack([one, one])
     p1, c1 = forward(params, one, TINY)
     p2, c2 = forward(params, two, TINY)
-    g1 = backward(params, one, np.array([1]), c1, TINY)
-    g2 = backward(params, two, np.array([1, 1]), c2, TINY)
+    g1 = backward(params, np.array([1]), c1, TINY)
+    g2 = backward(params, np.array([1, 1]), c2, TINY)
     for name in g1:
         assert np.allclose(g1[name], g2[name], atol=1e-12)
 
 
-def test_cache_mismatch():
+def test_backward_label_count_mismatch():
     params = init_params(TINY)
     _, cache = forward(params, tiny_batch(2, seed=1), TINY)
-    with pytest.raises(CacheMismatch):
-        backward(params, tiny_batch(2, seed=2), np.array([0, 1]), cache, TINY)
+    with pytest.raises(ShapeMismatch):
+        backward(params, np.array([0, 1, 1]), cache, TINY)
 
 
 # ---------------------------------------------------------------------------
@@ -279,3 +288,33 @@ def test_checkpoint_roundtrip(tmp_path):
     loaded, cfg = load_checkpoint(path)
     assert cfg == TINY
     assert all(np.allclose(loaded[k], params[k], atol=0) for k in params)
+
+
+def test_checkpoint_with_classes_key_loads(tmp_path):
+    # checkpoints from before ModelConfig dropped its classes field carry
+    # "classes": 2 in their config
+    params = init_params(TINY)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, params, TINY)
+    payload = json.loads(path.read_text())
+    payload["config"]["classes"] = 2
+    path.write_text(json.dumps(payload))
+    loaded, cfg = load_checkpoint(path)
+    assert cfg == TINY
+    X = tiny_batch(5, seed=4)
+    assert np.array_equal(predict_batch(loaded, X, cfg), predict_batch(params, X, TINY))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda config: config.update(dropout=0.5),
+    lambda config: config.pop("gru_hidden"),
+    lambda config: config.update(classes=3),
+])
+def test_checkpoint_config_keys_checked(tmp_path, edit):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_params(TINY), TINY)
+    payload = json.loads(path.read_text())
+    edit(payload["config"])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ShapeMismatch):
+        load_checkpoint(path)
