@@ -85,6 +85,10 @@ class PipelineConfig:
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        try:
+            self.schema_map()
+        except TypeError as exc:  # a missing, unknown or non-mapping schema
+            raise ConfigError(f"bad schema {self.schema!r}: {exc}") from exc
 
     def schema_map(self) -> ingest.SchemaMap:
         return ingest.SchemaMap(**self.schema)

@@ -11,7 +11,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import EmptySet, InsufficientData, InsufficientUsers, SingleClass
 from .mau import Mau
@@ -81,12 +80,11 @@ def roc_auc(scored: ScoredSet) -> float:
     """Mann-Whitney AUC: fraction of (legit, imposter) pairs ranked correctly,
     ties counted half."""
     _require_both_classes(scored)
-    legit = scored.labels == LEGIT
-    n_pos = int(np.count_nonzero(legit))
-    n_neg = len(scored.labels) - n_pos
-    ranks = rankdata(scored.scores)  # mean ranks for ties
-    rank_sum = ranks[legit].sum()
-    return float((rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    legit = scored.scores[scored.labels == LEGIT]
+    imp = np.sort(scored.scores[scored.labels != LEGIT])
+    # twice the count of imposters below each legit score, plus the ties
+    twice_wins = np.searchsorted(imp, legit, "left") + np.searchsorted(imp, legit, "right")
+    return float(twice_wins.sum() / 2.0 / (len(legit) * len(imp)))
 
 
 def _sweep(scored: ScoredSet):

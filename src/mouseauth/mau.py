@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .errors import LengthMismatch, OutOfRange, TooShort
 from .kinematics import VelocitySequence
@@ -93,29 +92,55 @@ def correlation_count(seq: np.ndarray, m: int, p: int, r: float) -> float:
     return matches / n_windows
 
 
-def _match_counts(seq: np.ndarray, m: int, r: float) -> np.ndarray:
-    """Self-inclusive match counts per window, via per-diagonal running max.
+# pairs of windows handled per block of diagonals in _match_counts_by_length,
+# which bounds its working memory at any sequence length
+_PAIRS_PER_BLOCK = 1 << 18
 
-    For fixed offset d = q - p, Chebyshev distances between windows p and
-    p + d are running maxima of |v[t] - v[t+d]| along the diagonal, so each
-    diagonal costs O(n) with a moving-maximum filter instead of O(n * m).
+
+def _match_counts_by_length(seq: np.ndarray, max_len: int, r: float) -> np.ndarray:
+    """Self-inclusive match counts of every window at every length, in one pass.
+
+    Row k of the result holds the counts of the n - k + 1 windows of length
+    k (k = 1..max_len) in its first n - k + 1 entries. For a fixed offset
+    d = q - p, windows p and q of length k match in Chebyshev distance
+    exactly when the run of consecutive t >= p with |v[t] - v[t+d]| <= r is
+    at least k long (Pincus 1991; Manis 2008). Each diagonal's runs, clipped
+    at max_len, are histogrammed per window on both sides of the pair; a
+    reverse cumulative sum over run lengths then gives every length's counts.
     """
     n = len(seq)
-    n_windows = n - m + 1
-    counts = np.ones(n_windows, dtype=np.int64)  # self-matches
-    for d in range(1, n_windows):
-        diag = np.abs(seq[: n - d] - seq[d:])
-        if len(diag) < m:
-            break
-        if m == 1:
-            dist = diag
-        else:
-            dist = maximum_filter1d(diag, size=m)[m // 2 : m // 2 + len(diag) - m + 1]
-        hits = dist <= r
-        n_pairs = len(hits)  # pairs (p, p + d), p = 0..n_windows - d - 1
-        counts[:n_pairs] += hits
-        counts[d : d + n_pairs] += hits
+    width = max_len + 1
+    hist = np.zeros(width * n, dtype=np.int64)  # hist[j * n + p]: partners with run j
+    block = max(1, _PAIRS_PER_BLOCK // n)
+    # NaN past the end compares as "not close", which ends every diagonal
+    padded = np.concatenate([seq, np.full(block, np.nan)])
+    for d0 in range(1, n, block):
+        offsets = np.arange(d0, min(d0 + block, n))
+        span = n - d0  # diagonal d holds the n - d pairs (t, t + d), t < n - d
+        t = np.arange(span)
+        ahead = np.lib.stride_tricks.sliding_window_view(padded[d0:], span)[: len(offsets)]
+        close = np.abs(seq[:span] - ahead) <= r
+        # run length from t = distance to the first t' >= t that is not close
+        stop = np.where(close, span, t)
+        np.minimum.accumulate(stop[:, ::-1], axis=1, out=stop[:, ::-1])
+        runs = np.minimum(stop - t, max_len)
+        rows, cols = np.nonzero(runs)
+        base = runs[rows, cols] * n + cols
+        hist += np.bincount(base, minlength=width * n)
+        hist += np.bincount(base + offsets[rows], minlength=width * n)
+    counts = hist.reshape(width, n)[::-1].cumsum(axis=0)[::-1]
+    counts += 1  # self-matches
     return counts
+
+
+def _phi(counts: np.ndarray, n: int, m: int) -> float:
+    """Pincus's phi(m): mean log match fraction of the length-m windows."""
+    n_windows = n - m + 1
+    c = counts[m, :n_windows] / n_windows
+    # self-inclusion keeps every count >= 1/n_windows, so the log is
+    # always defined; the floor is a guard only
+    c = np.maximum(c, 1.0 / n_windows)
+    return float(np.mean(np.log(c)))
 
 
 def apen(seq: np.ndarray, m: int, r: float) -> float:
@@ -127,15 +152,8 @@ def apen(seq: np.ndarray, m: int, r: float) -> float:
         raise OutOfRange("need m >= 1 and r > 0")
     if n < m + 2:
         raise TooShort(f"apen needs length >= m + 2, got {n} with m={m}")
-    phi = []
-    for mm in (m, m + 1):
-        n_windows = n - mm + 1
-        c = _match_counts(seq, mm, r) / n_windows
-        # self-inclusion keeps every count >= 1/n_windows, so the log is
-        # always defined; the floor is a guard only
-        c = np.maximum(c, 1.0 / n_windows)
-        phi.append(float(np.mean(np.log(c))))
-    return phi[0] - phi[1]
+    counts = _match_counts_by_length(seq, m + 1, r)
+    return _phi(counts, n, m) - _phi(counts, n, m + 1)
 
 
 def apen_profile(
@@ -166,7 +184,9 @@ def apen_profile(
         )
     sigma = float(seq.std(ddof=1))
     r = r_factor * sigma if sigma > 0 else r_factor * 1e-12
-    values = [apen(seq, c, r) for c in candidates]
+    counts = _match_counts_by_length(seq, max(candidates) + 1, r)
+    n = len(seq)
+    values = [_phi(counts, n, c) - _phi(counts, n, c + 1) for c in candidates]
     slopes = [
         (values[k + 1] - values[k]) / (candidates[k + 1] - candidates[k])
         for k in range(len(candidates) - 1)

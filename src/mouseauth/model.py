@@ -402,6 +402,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     payload = json.loads(Path(path).read_text())
     if payload.get("version") != CHECKPOINT_VERSION:
         raise ShapeMismatch(f"unsupported checkpoint version: {payload.get('version')}")
+    if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):
+        raise ShapeMismatch('checkpoint needs a "config" and a "params" object')
     config_doc = dict(payload["config"])
     # checkpoints written before the head was fixed at two classes record it
     classes = config_doc.pop("classes", 2)

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import InvalidSpec
 from .kinematics import VelocitySequence
@@ -48,21 +47,26 @@ class SplitMix64:
         return self.next_u64() / 2.0**64
 
     def normals(self, n: int) -> np.ndarray:
-        """n standard-normal draws via Box-Muller on uniform pairs."""
-        out = np.empty(n)
-        i = 0
-        while i < n:
-            u1 = self.uniform()
-            u2 = self.uniform()
-            if u1 <= 0.0:  # log(0) guard; probability 2^-64
-                continue
+        """n standard-normal draws via Box-Muller on uniform pairs.
+
+        The uniforms come from the same stream as `uniform`, generated as
+        one uint64 array; `state` advances past every draw used.
+        """
+        pairs = np.empty((0, 2))
+        while len(pairs) < (n + 1) // 2:
+            draws = 2 * ((n + 1) // 2 - len(pairs))
+            z = np.uint64(self.state) + _GAMMA * np.arange(1, draws + 1, dtype=np.uint64)
+            self.state = (self.state + _GAMMA * draws) & _MASK
+            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+            u = ((z ^ (z >> np.uint64(31))).astype(float) / 2.0**64).reshape(-1, 2)
+            # a pair with u1 = 0 (probability 2^-64) is dropped: log(0) guard
+            pairs = np.concatenate([pairs, u[u[:, 0] > 0.0]])
+        out = []
+        for u1, u2 in pairs.tolist():
             radius = math.sqrt(-2.0 * math.log(u1))
-            out[i] = radius * math.cos(2.0 * math.pi * u2)
-            i += 1
-            if i < n:
-                out[i] = radius * math.sin(2.0 * math.pi * u2)
-                i += 1
-        return out
+            out += (radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2))
+        return np.array(out[:n], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -117,8 +121,12 @@ def generate(
         phi = p.get("phi", 0.5)
         sigma = p.get("sigma", 1.0)
         noise = sigma * rng.normals(n)
-        # x[i] = phi * x[i - 1] + noise[i] from x[-1] = 0, the stationary mean
-        v = lfilter([1.0], [1.0, -phi], noise) + p.get("mean", 0.0)
+        x = []
+        prev = 0.0  # stationary mean of the zero-mean recursion
+        for e in noise.tolist():
+            prev = phi * prev + e
+            x.append(prev)
+        v = np.array(x) + p.get("mean", 0.0)
     else:  # sine_plus_noise
         amp = p.get("amplitude", 1.0)
         period = p.get("period", 100.0)

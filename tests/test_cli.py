@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -78,6 +81,28 @@ def test_invalid_config_exit_code(tmp_path):
     cfg_file.write_text(json.dumps({"dt": -1}))
     code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
     assert code == 2
+
+
+@pytest.mark.parametrize("schema", [
+    {"ts": "t", "x_col": "x", "y_col": "y"},  # unknown key
+    {"x_col": "x", "y_col": "y"},  # timestamp_col missing
+    ["t", "x", "y"],  # not a mapping
+])
+def test_bad_schema_exit_code(tmp_path, capsys, schema):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"schema": schema}))
+    code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+
+def test_eval_checkpoint_without_params_exit_code(tmp_path, capsys):
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(json.dumps({"version": model.CHECKPOINT_VERSION, "config": {}}))
+    code = main(["eval", "--legit-user", "u1", "--out", str(tmp_path / "out"),
+                 str(ckpt), str(tmp_path / "data")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ShapeMismatch"
 
 
 def test_missing_input_exit_code(tmp_path, capsys):
@@ -222,3 +247,18 @@ def test_parser_subcommands():
 def test_config_hash_stable():
     assert PipelineConfig().config_hash() == PipelineConfig().config_hash()
     assert PipelineConfig().config_hash() != PipelineConfig(seed=1).config_hash()
+
+
+def test_runtime_imports_no_scipy():
+    # the runtime needs numpy only; scipy alone costs ~70 MB of RSS per import
+    code = (
+        "import importlib, pkgutil, sys, mouseauth\n"
+        "for m in pkgutil.iter_modules(mouseauth.__path__):\n"
+        "    importlib.import_module('mouseauth.' + m.name)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -180,16 +180,49 @@ def test_apen_profile_cap(monkeypatch):
     import mouseauth.mau as mau_mod
 
     seen = {}
-    real = mau_mod.apen
+    real = mau_mod._match_counts_by_length
 
-    def spy(seq, m, r):
+    def spy(seq, max_len, r):
         seen["n"] = len(seq)
-        return real(seq, m, r)
+        return real(seq, max_len, r)
 
-    monkeypatch.setattr(mau_mod, "apen", spy)
+    monkeypatch.setattr(mau_mod, "_match_counts_by_length", spy)
     vel = make_vel(np.random.default_rng(0).normal(size=500))
     mau_mod.apen_profile(vel, candidates=[5, 10], cap=200)
     assert seen["n"] == 200
+
+
+def _profile_inputs():
+    n = 70
+    t = np.arange(n)
+    iid = SplitMix64(8).normals(n)
+    ar1 = np.zeros(n)
+    for i in range(1, n):
+        ar1[i] = 0.8 * ar1[i - 1] + iid[i]
+    return {
+        "sine": np.sin(2 * np.pi * t / 9) + 0.05 * SplitMix64(9).normals(n),
+        "ar1": ar1,
+        "iid": iid,
+        "tied": np.round(SplitMix64(10).normals(n), 0),
+        "shortest": SplitMix64(11).normals(12),  # n = max candidate + 2
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_profile_inputs()))
+def test_apen_profile_matches_brute_force(kind):
+    # one pass serves every length, m = 1 included
+    seq = _profile_inputs()[kind]
+    candidates = [1, 2, 3, 5, 10]
+    profile = apen_profile(make_vel(seq), candidates=candidates)
+    for m, value in zip(candidates, profile.apen_values):
+        assert value == pytest.approx(
+            brute_force_apen(seq, m, profile.tolerance_r), abs=1e-12
+        )
+
+
+def test_apen_profile_constant_exactly_zero():
+    profile = apen_profile(make_vel(np.full(30, 3.5)), candidates=[1, 2, 3, 5, 10])
+    assert profile.apen_values == [0.0] * 5
 
 
 def test_apen_profile_serialization():

@@ -318,3 +318,14 @@ def test_checkpoint_config_keys_checked(tmp_path, edit):
     path.write_text(json.dumps(payload))
     with pytest.raises(ShapeMismatch):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key", ["config", "params"])
+def test_checkpoint_without_config_or_params(tmp_path, key):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_params(TINY), TINY)
+    payload = json.loads(path.read_text())
+    del payload[key]
+    path.write_text(json.dumps(payload))
+    with pytest.raises(ShapeMismatch):
+        load_checkpoint(path)
