@@ -94,7 +94,10 @@ class PipelineConfig:
         return ingest.SchemaMap(**self.schema)
 
     def config_hash(self) -> str:
-        blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
+        # where a run writes does not change what it computes
+        values = dataclasses.asdict(self)
+        del values["out_dir"]
+        blob = json.dumps(values, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def model_config(self) -> model.ModelConfig:
@@ -145,15 +148,12 @@ def load_config(args) -> PipelineConfig:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
         values.update(copy.deepcopy(PRESETS[preset]))
-    for name in (
-        "seed", "out", "dt", "step_m", "eps1", "eps2", "mau_length",
-        "slope_threshold", "epochs", "ratio", "unseen_count",
-    ):
-        value = getattr(args, name.replace("-", "_"), None)
-        if value is not None:
-            key = {"out": "out_dir", "ratio": "pos_neg_ratio"}.get(name, name)
-            values[key] = value
+    # each override flag's argparse dest is the config field it sets
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
+    for name in known:
+        value = getattr(args, name, None)
+        if value is not None:
+            values[name] = value
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
@@ -211,7 +211,7 @@ def cmd_sufficiency(args) -> int:
         cfg,
         {
             "user": args.user,
-            "parse_reports": [r.as_record() for r in parse_reports],
+            "parse_reports": [dataclasses.asdict(r) for r in parse_reports],
             "proper_volume": total,
             "total_volume": int(sum(r.total_length for r in reports)),
             "exhausted_sessions": flagged,
@@ -336,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--out", help="output directory")
+        p.add_argument("--out", dest="out_dir", help="output directory")
         p.add_argument("--seed", type=int)
 
     p = sub.add_parser("sufficiency", help="KDE/KL proper-volume estimation")
@@ -360,7 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--legit-user", required=True, dest="legit_user")
     p.add_argument("--mau-length", type=int, dest="mau_length")
     p.add_argument("--epochs", type=int)
-    p.add_argument("--ratio", type=float, help="positive:negative ratio")
+    p.add_argument("--ratio", type=float, dest="pos_neg_ratio",
+                   help="positive:negative ratio")
     p.add_argument("data_root", help="directory of per-user session subdirectories")
     p.set_defaults(func=cmd_train)
 

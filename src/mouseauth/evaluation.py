@@ -7,8 +7,7 @@ its score reaches the decision threshold. Labels use 1 = legitimate,
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,9 +39,6 @@ class EvalReport:
     counts: dict
     dsr: float | None = None
     dsr_at_eer: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self))
 
 
 def _require_both_classes(scored: ScoredSet):

@@ -1,11 +1,14 @@
-"""Parsing of per-session cursor event files into validated event sequences."""
+"""Parsing of per-session cursor event files into validated t/x/y columns."""
 
 from __future__ import annotations
 
 import csv
 import io
 from dataclasses import dataclass
+from itertools import compress
 from pathlib import Path
+
+import numpy as np
 
 from .errors import EmptySession, NoSessions, SchemaError
 
@@ -33,18 +36,20 @@ class SchemaMap:
 
 
 @dataclass(frozen=True)
-class RawEvent:
-    t: float
-    x: float
-    y: float
-    state: str | None = None
-
-
-@dataclass(frozen=True)
 class Session:
+    """The kept rows of one session file as aligned columns.
+
+    t, x and y are 1-D float arrays of equal length with every value finite
+    and t non-negative and non-decreasing; state[i] is row i's state field,
+    or None without a state column.
+    """
+
     user_id: str
     session_id: str
-    events: tuple[RawEvent, ...]
+    t: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    state: tuple[str | None, ...]
 
 
 @dataclass
@@ -55,13 +60,6 @@ class ParseReport:
     events: int = 0
     dropped: int = 0
 
-    def as_record(self) -> dict:
-        return {"file": self.file, "events": self.events, "dropped": self.dropped}
-
-
-def _is_finite(value: float) -> bool:
-    return value == value and value not in (float("inf"), float("-inf"))
-
 
 def parse_session(
     data: bytes | str,
@@ -71,8 +69,8 @@ def parse_session(
 ) -> tuple[Session, ParseReport]:
     """Parse one delimiter-separated session file.
 
-    Rows with unparseable timestamp/x/y, negative or non-finite timestamps,
-    and rows whose timestamp falls below the running maximum are dropped and
+    Rows with an unparseable or non-finite timestamp/x/y, a negative
+    timestamp, or a timestamp below the running maximum are dropped and
     counted. Duplicate timestamps are kept.
     """
     if isinstance(data, bytes):
@@ -111,34 +109,40 @@ def parse_session(
         idx_state = int(schema.state_col) if schema.state_col is not None else None
         data_rows = rows
 
-    events: list[RawEvent] = []
-    t_max = float("-inf")
+    parsed: list[tuple[float, float, float]] = []
+    states: list[str | None] = []
     for row in data_rows:
         if not row:
             continue
         try:
-            t = float(row[idx_t])
-            x = float(row[idx_x])
-            y = float(row[idx_y])
+            parsed.append((float(row[idx_t]), float(row[idx_x]), float(row[idx_y])))
         except (ValueError, IndexError):
             report.dropped += 1
             continue
-        if not (_is_finite(t) and _is_finite(x) and _is_finite(y)) or t < 0:
-            report.dropped += 1
-            continue
-        if t < t_max:
-            # out-of-order event: dropping (not sorting) avoids fabricating
-            # kinematics from reordered samples
-            report.dropped += 1
-            continue
-        t_max = t
-        state = row[idx_state].strip() if idx_state is not None and idx_state < len(row) else None
-        events.append(RawEvent(t=t, x=x, y=y, state=state))
+        states.append(
+            row[idx_state].strip() if idx_state is not None and idx_state < len(row) else None
+        )
 
-    if not events:
+    t, x, y = np.array(parsed, dtype=float).reshape(-1, 3).T
+    valid = np.isfinite(t) & np.isfinite(x) & np.isfinite(y) & (t >= 0)
+    # a row below the running maximum of earlier valid timestamps is dropped,
+    # not sorted, so no kinematics are fabricated from reordered samples. Such
+    # a row lies below the maximum, so it never raises it either: the maximum
+    # over valid rows equals the one over kept rows.
+    keep = valid & (t >= np.maximum.accumulate(np.where(valid, t, -np.inf)))
+    report.events = int(np.count_nonzero(keep))
+    report.dropped += len(parsed) - report.events
+    if not report.events:
         raise EmptySession(f"{session_id}: no valid rows")
-    report.events = len(events)
-    return Session(user_id=user_id, session_id=session_id, events=tuple(events)), report
+    session = Session(
+        user_id=user_id,
+        session_id=session_id,
+        t=t[keep],
+        x=x[keep],
+        y=y[keep],
+        state=tuple(compress(states, keep)),
+    )
+    return session, report
 
 
 def load_user(

@@ -25,10 +25,9 @@ class VelocitySequence:
 
 def displacements(session: Session) -> np.ndarray:
     """Euclidean distance between consecutive cursor positions."""
-    if len(session.events) < 2:
+    if len(session.t) < 2:
         raise TooShort(f"{session.session_id}: need >= 2 events")
-    xy = np.array([(e.x, e.y) for e in session.events], dtype=float)
-    return np.hypot(*np.diff(xy, axis=0).T)
+    return np.hypot(np.diff(session.x), np.diff(session.y))
 
 
 def velocity_sequence(
@@ -47,7 +46,7 @@ def velocity_sequence(
     if dt <= 0:
         raise InvalidDt(f"dt must be positive, got {dt}")
     d = displacements(session)
-    gaps = np.diff(np.array([e.t for e in session.events], dtype=float))
+    gaps = np.diff(session.t)
     if use_actual_dt:
         keep = gaps > 0
         v = d[keep] / gaps[keep]

@@ -10,7 +10,7 @@ flattens below a threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -43,16 +43,7 @@ class ApEnProfile:
     converged: bool = True
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "candidate_lengths": self.candidate_lengths,
-                "apen_values": self.apen_values,
-                "slopes": self.slopes,
-                "tolerance_r": self.tolerance_r,
-                "selected_length": self.selected_length,
-                "converged": self.converged,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def profile_csv(self) -> str:
         lines = ["length,apen"] + [

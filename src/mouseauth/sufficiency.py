@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -59,17 +59,7 @@ class SufficiencyReport:
         return self.n_hat == "exhausted"
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "session_id": self.session_id,
-                "step_m": self.step_m,
-                "kl_trajectory": [[int(n), float(kl)] for n, kl in self.kl_trajectory],
-                "n_hat": self.n_hat,
-                "eps1": self.eps1,
-                "eps2": self.eps2,
-                "total_length": self.total_length,
-            }
-        )
+        return json.dumps(asdict(self))
 
     def trajectory_csv(self) -> str:
         lines = ["n,kl"] + [f"{n},{kl!r}" for n, kl in self.kl_trajectory]
@@ -171,16 +161,13 @@ def sufficiency_point(
         eps2=eps2,
         total_length=len(v),
     )
-    kl_at: dict[int, float] = {}
     n = step_m
     while n + step_m <= len(v):
-        kl_at[n] = _prefix_kl(v, n, step_m)
-        report.kl_trajectory.append((n, kl_at[n]))
-        prev = n - step_m
-        if prev in kl_at:
-            kl_prev = kl_at[prev]
-            if abs(kl_prev) <= eps1 and abs(kl_at[n] - kl_prev) <= eps2:
-                report.n_hat = prev
+        report.kl_trajectory.append((n, _prefix_kl(v, n, step_m)))
+        if len(report.kl_trajectory) >= 2:
+            (_, kl_prev), (_, kl) = report.kl_trajectory[-2:]
+            if abs(kl_prev) <= eps1 and abs(kl - kl_prev) <= eps2:
+                report.n_hat = n - step_m
                 break
         n += step_m
     return report

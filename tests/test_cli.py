@@ -247,6 +247,29 @@ def test_parser_subcommands():
 def test_config_hash_stable():
     assert PipelineConfig().config_hash() == PipelineConfig().config_hash()
     assert PipelineConfig().config_hash() != PipelineConfig(seed=1).config_hash()
+    # the output directory is where a run writes, not what it computes
+    assert PipelineConfig().config_hash() == PipelineConfig(out_dir="elsewhere").config_hash()
+
+
+@pytest.mark.parametrize("command, flag, value, field", [
+    ("sufficiency", "--seed", "7", "seed"),
+    ("sufficiency", "--out", "o2", "out_dir"),
+    ("sufficiency", "--step-m", "50", "step_m"),
+    ("sufficiency", "--eps1", "0.5", "eps1"),
+    ("sufficiency", "--eps2", "0.25", "eps2"),
+    ("apen", "--slope-threshold", "0.125", "slope_threshold"),
+    ("train", "--mau-length", "40", "mau_length"),
+    ("train", "--epochs", "3", "epochs"),
+    ("train", "--ratio", "2.5", "pos_neg_ratio"),
+    ("eval", "--unseen-count", "2", "unseen_count"),
+])
+def test_override_flag_sets_its_field(command, flag, value, field):
+    positional = {"sufficiency": ["--user", "u", "a.csv"], "apen": ["--user", "u", "a.csv"],
+                  "train": ["--legit-user", "u1", "data"],
+                  "eval": ["--legit-user", "u1", "model.json", "data"]}[command]
+    cfg = load_config(build_parser().parse_args([command, flag, value, *positional]))
+    default = getattr(PipelineConfig(), field)
+    assert getattr(cfg, field) == type(default)(value) != default
 
 
 def test_runtime_imports_no_scipy():

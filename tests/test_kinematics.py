@@ -2,13 +2,18 @@ import numpy as np
 import pytest
 
 from mouseauth.errors import InvalidDt, TooShort
-from mouseauth.ingest import RawEvent, Session
+from mouseauth.ingest import Session
 from mouseauth.kinematics import displacements, export_csv, velocity_sequence
 
 
+def session_from_txy(t, x, y):
+    t, x, y = (np.asarray(col, dtype=float) for col in (t, x, y))
+    return Session(user_id="u", session_id="s", t=t, x=x, y=y, state=(None,) * len(t))
+
+
 def session_from_xy(points, dt=0.01):
-    events = tuple(RawEvent(t=i * dt, x=x, y=y) for i, (x, y) in enumerate(points))
-    return Session(user_id="u", session_id="s", events=events)
+    x, y = zip(*points)
+    return session_from_txy([i * dt for i in range(len(points))], x, y)
 
 
 def test_three_four_five():
@@ -72,22 +77,14 @@ def test_dt_division_property():
 
 
 def test_actual_dt_mode_drops_zero_gaps():
-    events = (
-        RawEvent(t=0.0, x=0, y=0),
-        RawEvent(t=0.0, x=1, y=0),  # zero gap
-        RawEvent(t=1.0, x=3, y=0),
-    )
-    session = Session("u", "s", events)
+    session = session_from_txy([0.0, 0.0, 1.0], [0, 1, 3], [0, 0, 0])  # one zero gap
     vel = velocity_sequence(session, dt=0.01, use_actual_dt=True)
     assert vel.v == pytest.approx([2.0])
 
 
 def test_gap_split():
-    events = tuple(
-        RawEvent(t=t, x=x, y=0)
-        for t, x in [(0.0, 0), (0.01, 1), (0.02, 2), (5.0, 3), (5.01, 4)]
-    )
-    parts = velocity_sequence(Session("u", "s", events), dt=0.01, gap_split_seconds=1.0)
+    session = session_from_txy([0.0, 0.01, 0.02, 5.0, 5.01], [0, 1, 2, 3, 4], [0] * 5)
+    parts = velocity_sequence(session, dt=0.01, gap_split_seconds=1.0)
     assert [len(p.v) for p in parts] == [2, 1]
 
 
