@@ -18,7 +18,7 @@ from pathlib import Path
 
 
 from . import evaluation, ingest, kinematics, mau, model, sufficiency, synth
-from .errors import ConfigError, MouseAuthError
+from .errors import ConfigError, MouseAuthError, ShapeMismatch
 
 
 @dataclass
@@ -75,8 +75,6 @@ class PipelineConfig:
                 all(b > a for a, b in zip(self.candidates, self.candidates[1:])),
                 "candidates must be strictly increasing",
             ),
-            (self.mau_length >= 1, "mau_length must be >= 1"),
-            (self.learning_rate > 0, "learning_rate must be positive"),
             (self.batch_size >= 1 and self.epochs >= 1, "batch_size/epochs must be >= 1"),
             (self.pos_neg_ratio > 0, "pos_neg_ratio must be positive"),
             (self.unseen_count >= 1, "unseen_count must be >= 1"),
@@ -89,6 +87,11 @@ class PipelineConfig:
             self.schema_map()
         except TypeError as exc:  # a missing, unknown or non-mapping schema
             raise ConfigError(f"bad schema {self.schema!r}: {exc}") from exc
+        try:
+            self.model_config()
+            self.train_config()
+        except (ShapeMismatch, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def schema_map(self) -> ingest.SchemaMap:
         return ingest.SchemaMap(**self.schema)
@@ -180,18 +183,24 @@ def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
     return vels, reports
 
 
-def _load_user_pool(cfg: PipelineConfig, root: Path) -> dict[str, list]:
-    """Each subdirectory of root is one user holding session CSV files."""
-    pool = {}
+def _load_user_pool(
+    cfg: PipelineConfig, root: Path
+) -> tuple[dict[str, list], dict[str, list]]:
+    """Each subdirectory of root is one user holding session CSV files.
+
+    Returns each user's velocity sequences and the parse report of each file.
+    """
+    pool, parse_reports = {}, {}
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         paths = sorted(user_dir.glob("*.csv"))
         if not paths:
             continue
-        vels, _ = _sessions_to_velocities(cfg, paths, user_dir.name)
+        vels, reports = _sessions_to_velocities(cfg, paths, user_dir.name)
         pool[user_dir.name] = vels
+        parse_reports[user_dir.name] = [dataclasses.asdict(r) for r in reports]
     if not pool:
         raise ConfigError(f"no per-user subdirectories with CSVs under {root}")
-    return pool
+    return pool, parse_reports
 
 
 def cmd_sufficiency(args) -> int:
@@ -264,7 +273,7 @@ def _split_from_pool(cfg: PipelineConfig, pool, legit_user):
 def cmd_train(args) -> int:
     cfg = load_config(args)
     out = _out_dir(cfg)
-    pool = _load_user_pool(cfg, Path(args.data_root))
+    pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
     split = _split_from_pool(cfg, pool, args.legit_user)
     X, y = split.train_arrays()
     params, history = model.train(X, y, cfg.model_config(), cfg.train_config())
@@ -281,6 +290,7 @@ def cmd_train(args) -> int:
             "train_size": len(y),
             "final_loss": history[-1],
             "unseen_users": split.unseen_users,
+            "parse_reports": parse_reports,
         },
     )
     print(json.dumps(summary))
@@ -292,13 +302,17 @@ def cmd_eval(args) -> int:
     out = _out_dir(cfg)
     params, mcfg = model.load_checkpoint(args.checkpoint)
     cfg.mau_length = mcfg.input_length
-    pool = _load_user_pool(cfg, Path(args.data_root))
+    pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
     split = _split_from_pool(cfg, pool, args.legit_user)
     X, y = split.test_arrays()
     scored = evaluation.ScoredSet(model.predict_batch(params, X, mcfg), y)
     report = evaluation.report_scores(scored, split.unseen_mask)
     (out / f"roc_{args.legit_user}.csv").write_text(evaluation.roc_curve_csv(scored))
-    summary = _stamp(cfg, {"legit_user": args.legit_user, **dataclasses.asdict(report)})
+    summary = _stamp(
+        cfg,
+        {"legit_user": args.legit_user, **dataclasses.asdict(report),
+         "parse_reports": parse_reports},
+    )
     (out / f"eval_{args.legit_user}.json").write_text(json.dumps(summary, indent=2))
     print(json.dumps(summary))
     return 0

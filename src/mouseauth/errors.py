@@ -43,10 +43,6 @@ class GridMismatch(MouseAuthError):
     """Two density estimates do not share the same evaluation grid."""
 
 
-class LengthMismatch(MouseAuthError):
-    """Windows of unequal length compared."""
-
-
 class OutOfRange(MouseAuthError):
     """Window index or parameter outside its valid range."""
 

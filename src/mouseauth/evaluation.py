@@ -16,6 +16,8 @@ from .mau import Mau
 from . import model as model_mod
 
 LEGIT, IMPOSTER = 1, 0
+# fixed decision threshold of F1, the confusion counts and DSR
+DECISION_THRESHOLD = 0.5
 
 
 @dataclass
@@ -59,7 +61,7 @@ def confusion_counts(scored: ScoredSet, threshold: float) -> dict:
     }
 
 
-def f1_score(scored: ScoredSet, threshold: float = 0.5) -> float:
+def f1_score(scored: ScoredSet, threshold: float = DECISION_THRESHOLD) -> float:
     """Harmonic mean of precision and recall; legitimate is the positive class."""
     if len(scored.scores) == 0:
         raise EmptySet("empty score set")
@@ -118,7 +120,7 @@ def eer(scored: ScoredSet) -> tuple[float, float]:
     return float((far[best] + frr[best]) / 2.0), float(thresholds[best])
 
 
-def dsr(attack_scores: np.ndarray, threshold: float = 0.5) -> float:
+def dsr(attack_scores: np.ndarray, threshold: float = DECISION_THRESHOLD) -> float:
     """Fraction of attack samples rejected (score below threshold)."""
     attack_scores = np.asarray(attack_scores, dtype=float)
     if len(attack_scores) == 0:
@@ -208,33 +210,30 @@ def blind_attack_eval(
     params: dict[str, np.ndarray],
     split: Split,
     config: model_mod.ModelConfig,
-    threshold: float = 0.5,
 ) -> EvalReport:
     """Score the test split and bundle all metrics (see report_scores)."""
     X, y = split.test_arrays()
     scored = ScoredSet(scores=model_mod.predict_batch(params, X, config), labels=y)
-    return report_scores(scored, split.unseen_mask, threshold)
+    return report_scores(scored, split.unseen_mask)
 
 
-def report_scores(
-    scored: ScoredSet, unseen_mask: list[bool], threshold: float = 0.5
-) -> EvalReport:
+def report_scores(scored: ScoredSet, unseen_mask: list[bool]) -> EvalReport:
     """All metrics of one scored test split.
 
     DSR is computed over the unseen-user samples (unseen_mask, aligned with
-    the scores) only, at the fixed threshold and again at the EER threshold.
+    the scores) only, at DECISION_THRESHOLD and again at the EER threshold.
     """
     eer_value, eer_thr = eer(scored)
     unseen_scores = scored.scores[np.asarray(unseen_mask, dtype=bool)]
     report = EvalReport(
-        f1=f1_score(scored, threshold),
+        f1=f1_score(scored),
         auc=roc_auc(scored),
         eer=eer_value,
         eer_threshold=eer_thr,
-        counts=confusion_counts(scored, threshold),
+        counts=confusion_counts(scored, DECISION_THRESHOLD),
     )
     if len(unseen_scores):
-        report.dsr = dsr(unseen_scores, threshold)
+        report.dsr = dsr(unseen_scores)
         report.dsr_at_eer = dsr(unseen_scores, eer_thr)
     return report
 
@@ -244,25 +243,3 @@ def roc_curve_csv(scored: ScoredSet) -> str:
     _, far, _, tpr = _sweep(scored)
     rows = zip(far[::-1].tolist(), tpr[::-1].tolist())
     return "far,tpr\n" + "".join(f"{f!r},{t!r}\n" for f, t in rows)
-
-
-def aggregate_reports(reports: list[EvalReport]) -> dict:
-    """Unweighted per-user mean and sample std of each metric."""
-    if not reports:
-        raise EmptySet("no reports to aggregate")
-
-    def stats(values):
-        arr = np.array([v for v in values if v is not None], dtype=float)
-        if len(arr) == 0:
-            return None
-        return {
-            "mean": float(arr.mean()),
-            "std": float(arr.std(ddof=1)) if len(arr) > 1 else 0.0,
-        }
-
-    return {
-        "f1": stats([r.f1 for r in reports]),
-        "auc": stats([r.auc for r in reports]),
-        "eer": stats([r.eer for r in reports]),
-        "dsr": stats([r.dsr for r in reports]),
-    }

@@ -71,12 +71,13 @@ def parse_session(
 
     Rows with an unparseable or non-finite timestamp/x/y, a negative
     timestamp, or a timestamp below the running maximum are dropped and
-    counted. Duplicate timestamps are kept.
+    counted. Duplicate timestamps are kept. A leading UTF-8 byte-order mark
+    is ignored.
     """
     if isinstance(data, bytes):
-        text = data.decode("utf-8", errors="replace")
-    else:
-        text = data
+        data = data.decode("utf-8", errors="replace")
+    # a leading byte-order mark (spreadsheet exports write one) is not data
+    text = data.removeprefix("\ufeff")
     report = ParseReport(file=session_id)
 
     reader = csv.reader(io.StringIO(text), delimiter=schema.delimiter)

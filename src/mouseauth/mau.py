@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import LengthMismatch, OutOfRange, TooShort
+from .errors import OutOfRange, TooShort
 from .kinematics import VelocitySequence
 
 SLOPE_THRESHOLD = 1e-4
@@ -50,37 +50,6 @@ class ApEnProfile:
             f"{n},{a!r}" for n, a in zip(self.candidate_lengths, self.apen_values)
         ]
         return "\n".join(lines) + "\n"
-
-
-def chebyshev(a: np.ndarray, b: np.ndarray) -> float:
-    """Max absolute coordinate difference between equal-length windows."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise LengthMismatch(f"window lengths differ: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b))) if len(a) else 0.0
-
-
-def correlation_count(seq: np.ndarray, m: int, p: int, r: float) -> float:
-    """Fraction of other windows within Chebyshev tolerance r of window p.
-
-    Windows are 1-based as is conventional for this statistic; the window
-    itself is excluded from the numerator but the denominator is the full
-    window count n - m + 1.
-    """
-    seq = np.asarray(seq, dtype=float)
-    n = len(seq)
-    if m < 1 or r <= 0:
-        raise OutOfRange("need m >= 1 and r > 0")
-    if n < m + 1:
-        raise OutOfRange(f"sequence of length {n} has no window pairs at m={m}")
-    n_windows = n - m + 1
-    if not 1 <= p <= n_windows:
-        raise OutOfRange(f"window index {p} outside 1..{n_windows}")
-    windows = np.lib.stride_tricks.sliding_window_view(seq, m)
-    d = np.abs(windows - windows[p - 1]).max(axis=1)
-    matches = int(np.count_nonzero(d <= r)) - 1  # drop the self-match
-    return matches / n_windows
 
 
 # pairs of windows handled per block of diagonals in _match_counts_by_length,

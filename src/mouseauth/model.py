@@ -23,6 +23,10 @@ from .errors import (
 CHECKPOINT_VERSION = 1
 PROB_FLOOR = 1e-12
 STD_FLOOR = 1e-8
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015 defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass(frozen=True)
@@ -48,16 +52,11 @@ class ModelConfig:
 @dataclass
 class TrainConfig:
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     batch_size: int = 32
     epochs: int = 20
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.beta1 < 1 and 0 < self.beta2 < 1):
-            raise ValueError("betas must lie in (0, 1)")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
 
@@ -329,11 +328,11 @@ def adam_step(
         g = grads[name]
         if g.shape != p.shape:
             raise ShapeMismatch(f"{name}: gradient shape {g.shape} != {p.shape}")
-        state.m[name] = cfg.beta1 * state.m[name] + (1 - cfg.beta1) * g
-        state.v[name] = cfg.beta2 * state.v[name] + (1 - cfg.beta2) * g * g
-        m_hat = state.m[name] / (1 - cfg.beta1**t)
-        v_hat = state.v[name] / (1 - cfg.beta2**t)
-        out[name] = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + cfg.epsilon)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = state.m[name] / (1 - ADAM_BETA1**t)
+        v_hat = state.v[name] / (1 - ADAM_BETA2**t)
+        out[name] = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return out, state
 
 

@@ -96,6 +96,21 @@ def test_bad_schema_exit_code(tmp_path, capsys, schema):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize("values", [
+    {"kernel_size": 4},  # even kernels cannot pad symmetrically
+    {"conv_channels": 0},
+    {"res_kernel": 2},
+])
+def test_invalid_model_config_exit_code(tmp_path, capsys, values):
+    # a valid corpus, so that only the model settings can fail
+    data_root = write_corpus(tmp_path / "data", length=300)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(values))
+    code = main(["train", "--config", str(cfg_file), "--legit-user", "u1", str(data_root)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+
 def test_eval_checkpoint_without_params_exit_code(tmp_path, capsys):
     ckpt = tmp_path / "model.json"
     ckpt.write_text(json.dumps({"version": model.CHECKPOINT_VERSION, "config": {}}))
@@ -173,6 +188,30 @@ def test_train_eval_round_trip(tmp_path, capsys):
     for key in ("f1", "auc", "eer", "eer_threshold", "dsr"):
         assert key in report
     assert (out / "roc_u1.csv").read_text().startswith("far,tpr")
+
+
+def test_train_eval_report_dropped_rows(tmp_path, capsys):
+    data_root = write_corpus(tmp_path / "data")
+    junk_file = data_root / "u2" / "s1.csv"
+    lines = junk_file.read_text().splitlines()
+    lines.insert(5, "0.04,junk,0")
+    junk_file.write_text("\n".join(lines) + "\n")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "mau_length": 20, "epochs": 1, "conv_channels": 2, "kernel_size": 3,
+        "res_blocks": 1, "gru_hidden": 4,
+    }))
+    common = ["--config", str(cfg_file), "--legit-user", "u1", "--out", str(tmp_path / "out")]
+    want = {
+        user: [{"file": f"s{j}", "events": 3001, "dropped": int((user, j) == ("u2", 1))}
+               for j in range(2)]
+        for user in ("u1", "u2", "u3")
+    }
+    assert main(["train", *common, str(data_root)]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["parse_reports"] == want
+    checkpoint = str(tmp_path / "out" / "model_u1.json")
+    assert main(["eval", *common, checkpoint, str(data_root)]) == 0
+    assert json.loads(capsys.readouterr().out.strip())["parse_reports"] == want
 
 
 def test_eval_idempotent(tmp_path, capsys):

@@ -4,9 +4,7 @@ from hypothesis import given, strategies as st
 
 from mouseauth.errors import EmptySet, InsufficientUsers, SingleClass
 from mouseauth.evaluation import (
-    EvalReport,
     ScoredSet,
-    aggregate_reports,
     blind_attack_eval,
     build_splits,
     dsr,
@@ -290,16 +288,3 @@ def test_roc_curve_csv():
             labels[0] = 1 - labels[0]
         assert roc_curve_csv(scored(scores, labels)) == brute_force_roc_csv(scores, labels)
 
-
-def test_aggregate_reports():
-    r1 = EvalReport(f1=0.8, auc=0.9, eer=0.1, eer_threshold=0.5, counts={}, dsr=1.0)
-    r2 = EvalReport(f1=0.6, auc=0.7, eer=0.3, eer_threshold=0.5, counts={}, dsr=None)
-    agg = aggregate_reports([r1, r2])
-    assert agg["f1"]["mean"] == pytest.approx(0.7)
-    assert agg["auc"]["std"] == pytest.approx(np.std([0.9, 0.7], ddof=1))
-    assert agg["dsr"]["mean"] == 1.0
-
-
-def test_aggregate_empty():
-    with pytest.raises(EmptySet):
-        aggregate_reports([])

@@ -179,7 +179,8 @@ TOKENS = st.one_of(
 
 @st.composite
 def session_files(draw):
-    """A session file with optional header and state column, its schema and rows."""
+    """A session file with optional header, state column and leading byte-order
+    mark, as str or bytes, with its schema and rows."""
     header = draw(st.booleans())
     names = draw(st.permutations(["t", "x", "y"] + (["state"] if draw(st.booleans()) else [])))
     width = len(names)
@@ -197,6 +198,10 @@ def session_files(draw):
                            has_header=False)
     lines = ([",".join(names)] if header else []) + [",".join(row) for row in rows]
     text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    if draw(st.booleans()):
+        text = "\ufeff" + text
+    if draw(st.booleans()):
+        text = text.encode()
     return text, schema, names, rows
 
 

@@ -3,7 +3,7 @@ import pytest
 
 from mouseauth.errors import InvalidDt, TooShort
 from mouseauth.ingest import Session
-from mouseauth.kinematics import displacements, export_csv, velocity_sequence
+from mouseauth.kinematics import displacements, velocity_sequence
 
 
 def session_from_txy(t, x, y):
@@ -75,21 +75,3 @@ def test_dt_division_property():
     scaled = velocity_sequence(session_from_xy(pts), dt=0.25).v
     assert scaled == pytest.approx((unit / 0.25).tolist())
 
-
-def test_actual_dt_mode_drops_zero_gaps():
-    session = session_from_txy([0.0, 0.0, 1.0], [0, 1, 3], [0, 0, 0])  # one zero gap
-    vel = velocity_sequence(session, dt=0.01, use_actual_dt=True)
-    assert vel.v == pytest.approx([2.0])
-
-
-def test_gap_split():
-    session = session_from_txy([0.0, 0.01, 0.02, 5.0, 5.01], [0, 1, 2, 3, 4], [0] * 5)
-    parts = velocity_sequence(session, dt=0.01, gap_split_seconds=1.0)
-    assert [len(p.v) for p in parts] == [2, 1]
-
-
-def test_export_csv():
-    vel = velocity_sequence(session_from_xy([(0, 0), (3, 4)]), dt=1.0)
-    text = export_csv(vel)
-    assert text.splitlines()[0] == "v"
-    assert float(text.splitlines()[1]) == pytest.approx(5.0)

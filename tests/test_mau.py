@@ -2,15 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from mouseauth.errors import LengthMismatch, OutOfRange, TooShort
+from mouseauth.errors import OutOfRange, TooShort
 from mouseauth.kinematics import VelocitySequence
 from mouseauth.mau import (
     apen,
     apen_profile,
-    chebyshev,
-    correlation_count,
     segment,
 )
 from mouseauth.synth import SplitMix64
@@ -18,65 +15,6 @@ from mouseauth.synth import SplitMix64
 
 def make_vel(v):
     return VelocitySequence("u", "s", 0.01, np.asarray(v, dtype=float))
-
-
-# ---------------------------------------------------------------------------
-# chebyshev
-
-def test_chebyshev_identity():
-    assert chebyshev([1, 2, 3], [1, 2, 3]) == 0.0
-
-
-def test_chebyshev_values():
-    assert chebyshev([0, 0], [3, 1]) == 3.0
-    assert chebyshev([1, 5], [2, 3]) == 2.0
-
-
-def test_chebyshev_length_mismatch():
-    with pytest.raises(LengthMismatch):
-        chebyshev([1, 2], [1, 2, 3])
-
-
-windows = st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=8)
-
-
-@given(st.integers(1, 8).flatmap(
-    lambda n: st.tuples(*[st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n)] * 3)
-))
-def test_chebyshev_is_a_metric(abc):
-    a, b, c = (np.array(w) for w in abc)
-    assert chebyshev(a, b) == chebyshev(b, a)
-    assert (chebyshev(a, b) == 0.0) == bool(np.all(a == b))
-    assert chebyshev(a, c) <= chebyshev(a, b) + chebyshev(b, c) + 1e-9
-
-
-# ---------------------------------------------------------------------------
-# correlation count
-
-def test_correlation_count_constant():
-    seq = np.ones(5)
-    for p in range(1, 5):
-        assert correlation_count(seq, 2, p, 0.1) == pytest.approx(3 / 4)
-
-
-def test_correlation_count_increasing():
-    assert correlation_count(np.array([0.0, 10.0, 20.0, 30.0]), 2, 1, 1.0) == 0.0
-
-
-def test_correlation_count_large_r():
-    seq = np.array([1.0, 5.0, 2.0, 8.0, 3.0, 0.5])
-    n, m = len(seq), 2
-    assert correlation_count(seq, m, 3, 100.0) == pytest.approx((n - m) / (n - m + 1))
-
-
-def test_correlation_count_out_of_range():
-    seq = np.arange(10.0)
-    with pytest.raises(OutOfRange):
-        correlation_count(seq, 2, 0, 1.0)
-    with pytest.raises(OutOfRange):
-        correlation_count(seq, 2, 10, 1.0)
-    with pytest.raises(OutOfRange):
-        correlation_count(seq, 2, 1, -1.0)
 
 
 def test_match_superset_property():

@@ -9,6 +9,9 @@ from mouseauth.errors import (
     SingleClassDataset,
 )
 from mouseauth.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
     AdamState,
     ModelConfig,
     TrainConfig,
@@ -203,8 +206,7 @@ def test_adam_zero_gradient_no_move():
 
 
 def test_adam_defaults():
-    cfg = TrainConfig()
-    assert cfg.beta1 == 0.9 and cfg.beta2 == 0.999
+    assert (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON) == (0.9, 0.999, 1e-8)
 
 
 def test_adam_shape_mismatch():
