@@ -21,6 +21,18 @@ from . import evaluation, ingest, kinematics, mau, model, sufficiency, synth
 from .errors import ConfigError, MouseAuthError, ShapeMismatch
 
 
+def _has_type_of(value, default) -> bool:
+    """Whether a config value has its default's type. An int stands for a
+    float, a bool is never a number, and a list holds ints."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_has_type_of(v, 0) for v in value)
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
 @dataclass
 class PipelineConfig:
     schema: dict = field(
@@ -62,6 +74,12 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def validate(self):
+        defaults = PipelineConfig()
+        for f in dataclasses.fields(self):
+            value, default = getattr(self, f.name), getattr(defaults, f.name)
+            if not _has_type_of(value, default):
+                kind = "list of int" if isinstance(default, list) else type(default).__name__
+                raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         checks = [
             (self.dt > 0, "dt must be positive"),
             (self.step_m >= 2, "step_m must be >= 2"),
@@ -85,7 +103,7 @@ class PipelineConfig:
                 raise ConfigError(message)
         try:
             self.schema_map()
-        except TypeError as exc:  # a missing, unknown or non-mapping schema
+        except TypeError as exc:  # a missing or unknown schema key
             raise ConfigError(f"bad schema {self.schema!r}: {exc}") from exc
         try:
             self.model_config()

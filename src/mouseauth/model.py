@@ -13,6 +13,7 @@ from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     LabelOutOfRange,
@@ -106,29 +107,35 @@ def _check_shapes(params: dict[str, np.ndarray], config: ModelConfig):
 # ---------------------------------------------------------------------------
 # layers
 
-def _conv1d_windows(x: np.ndarray, k: int) -> np.ndarray:
-    """Sliding kernel windows of a (B, C, L) map, zero-padded to length L."""
-    pad = k // 2
-    xp = np.pad(x, ((0, 0), (0, 0), (pad, pad)))
-    L = x.shape[2]
-    return np.stack([xp[:, :, j : j + L] for j in range(k)], axis=3)
-
-
 def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
-    win = _conv1d_windows(x, w.shape[2])
-    y = np.einsum("bilk,oik->bol", win, w) + b[None, :, None]
+    """Length-preserving convolution of a (B, C, L) map by an (O, C, K) kernel.
+
+    Returns the (B, O, L) output and the (B, L, C*K) window matrix of the
+    zero-padded input, which backprop needs for the kernel gradient.
+    """
+    B, C, L = x.shape
+    O, _, K = w.shape
+    pad = K // 2
+    # a zero-filled buffer, not np.pad: its per-call overhead dominates at batch 1
+    xp = np.zeros((B, C, L + 2 * pad))
+    xp[:, :, pad : pad + L] = x
+    win = sliding_window_view(xp, K, axis=2).transpose(0, 2, 1, 3).reshape(B, L, C * K)
+    y = (win @ w.reshape(O, C * K).T).transpose(0, 2, 1) + b[:, None]
     return y, win
 
 
 def _conv1d_backward(dy: np.ndarray, win: np.ndarray, w: np.ndarray):
-    dw = np.einsum("bol,bilk->oik", dy, win)
+    """Kernel, bias and input gradients of _conv1d, given the output gradient.
+
+    The input gradient is the adjoint of the convolution: with K odd and
+    symmetric zero padding, <conv(x, w) - b, dy> = <x, conv(dy, w')> for
+    w'[c, o, k] = w[o, c, K-1-k], so it is the same convolution run with the
+    kernel flipped along k and its channel axes swapped.
+    """
+    dw = np.tensordot(dy, win, axes=([0, 2], [0, 1])).reshape(w.shape)
     db = dy.sum(axis=(0, 2))
-    B, Cin, L, K = win.shape
-    pad = K // 2
-    dxp = np.zeros((B, Cin, L + 2 * pad))
-    for j in range(K):
-        dxp[:, :, j : j + L] += np.einsum("bol,oi->bil", dy, w[:, :, j])
-    return dw, db, dxp[:, :, pad : pad + L]
+    dx, _ = _conv1d(dy, w[:, :, ::-1].transpose(1, 0, 2), np.zeros(w.shape[1]))
+    return dw, db, dx
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -172,35 +179,26 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
 
     for i in range(config.res_blocks):
         y1_pre, win1 = _conv1d(h, params[f"res{i}_w1"], params[f"res{i}_b1"])
-        y1 = np.maximum(y1_pre, 0.0)
-        y2, win2 = _conv1d(y1, params[f"res{i}_w2"], params[f"res{i}_b2"])
+        y2, win2 = _conv1d(np.maximum(y1_pre, 0.0), params[f"res{i}_w2"], params[f"res{i}_b2"])
         pre = y2 + h
-        out = np.maximum(pre, 0.0)
-        cache["res"].append(
-            {"in": h, "win1": win1, "y1_pre": y1_pre, "y1": y1, "win2": win2, "pre": pre}
-        )
-        h = out
-
-    # gated recurrent scan over the L time steps of channel vectors
-    B, C, L = h.shape
-    H = config.gru_hidden
-    hidden = np.zeros((B, H))
-    steps = []
-    for t in range(L):
-        xt = h[:, :, t]
-        z = _sigmoid(xt @ params["gru_wz"] + hidden @ params["gru_uz"] + params["gru_bz"])
-        r = _sigmoid(xt @ params["gru_wr"] + hidden @ params["gru_ur"] + params["gru_br"])
-        c = np.tanh(
-            xt @ params["gru_wc"] + (r * hidden) @ params["gru_uc"] + params["gru_bc"]
-        )
-        new_hidden = (1.0 - z) * hidden + z * c
-        steps.append({"xt": xt, "hprev": hidden, "z": z, "r": r, "c": c})
-        hidden = new_hidden
-    cache["gru_steps"] = steps
-    cache["gru_final"] = hidden
+        cache["res"].append({"in": h, "win1": win1, "y1_pre": y1_pre, "win2": win2, "pre": pre})
+        h = np.maximum(pre, 0.0)
     cache["conv_out"] = h
 
-    logits = hidden @ params["head_w"] + params["head_b"]
+    # gated recurrent scan over the L time steps of channel vectors; hidden[t]
+    # is the state before step t, and z, r, c are step t's gates
+    hidden, zs, rs, cs = [np.zeros((len(x), config.gru_hidden))], [], [], []
+    for t in range(h.shape[2]):
+        xt, hprev = h[:, :, t], hidden[-1]
+        zs.append(_sigmoid(xt @ params["gru_wz"] + hprev @ params["gru_uz"] + params["gru_bz"]))
+        rs.append(_sigmoid(xt @ params["gru_wr"] + hprev @ params["gru_ur"] + params["gru_br"]))
+        cs.append(np.tanh(
+            xt @ params["gru_wc"] + (rs[-1] * hprev) @ params["gru_uc"] + params["gru_bc"]
+        ))
+        hidden.append((1.0 - zs[-1]) * hprev + zs[-1] * cs[-1])
+    cache["gru"] = (hidden, zs, rs, cs)
+
+    logits = hidden[-1] @ params["head_w"] + params["head_b"]
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -230,55 +228,38 @@ def backward(
     B = len(cache["x"])
     if labels.shape != (B,):
         raise ShapeMismatch(f"expected {B} labels for the cached batch, got {labels.shape}")
-    probs = cache["probs"]
-
-    grads = {name: np.zeros_like(arr) for name, arr in params.items()}
-
-    dlogits = probs.copy()
+    dlogits = cache["probs"].copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
 
-    hidden = cache["gru_final"]
-    grads["head_w"] = hidden.T @ dlogits
-    grads["head_b"] = dlogits.sum(axis=0)
+    # gates are (steps, B, H); hidden has one more state, the initial zeros
+    hidden, z, r, c = (np.stack(seq) for seq in cache["gru"])
+    hprev = hidden[:-1]
+    grads = {"head_w": hidden[-1].T @ dlogits, "head_b": dlogits.sum(axis=0)}
     dh = dlogits @ params["head_w"].T
 
-    conv_out = cache["conv_out"]
-    dconv = np.zeros_like(conv_out)
-    for t in range(conv_out.shape[2] - 1, -1, -1):
-        step = cache["gru_steps"][t]
-        xt, hprev, z, r, c = step["xt"], step["hprev"], step["z"], step["r"], step["c"]
-        dz = dh * (c - hprev)
-        dc = dh * z
-        dhprev = dh * (1.0 - z)
+    # the scan carries only dh; each step's gate pre-activation gradients are
+    # kept and contracted with the gate inputs once, after the loop
+    dgate = {gate: np.empty_like(z) for gate in "zrc"}
+    for t in range(len(z) - 1, -1, -1):
+        dgate["c"][t] = dh * z[t] * (1.0 - c[t] * c[t])
+        dgate["z"][t] = dh * (c[t] - hprev[t]) * z[t] * (1.0 - z[t])
+        drh = dgate["c"][t] @ params["gru_uc"].T
+        dgate["r"][t] = drh * hprev[t] * r[t] * (1.0 - r[t])
+        dh = (dh * (1.0 - z[t]) + drh * r[t] + dgate["z"][t] @ params["gru_uz"].T
+              + dgate["r"][t] @ params["gru_ur"].T)
 
-        dc_pre = dc * (1.0 - c * c)
-        grads["gru_wc"] += xt.T @ dc_pre
-        grads["gru_uc"] += (r * hprev).T @ dc_pre
-        grads["gru_bc"] += dc_pre.sum(axis=0)
-        drh = dc_pre @ params["gru_uc"].T
-        dr = drh * hprev
-        dhprev += drh * r
-        dxt = dc_pre @ params["gru_wc"].T
+    xs = cache["conv_out"].transpose(2, 0, 1)  # (steps, B, C)
+    recurrent_in = {"z": hprev, "r": hprev, "c": r * hprev}
+    steps_and_batch = ([0, 1], [0, 1])
+    dxs = 0.0
+    for gate in "zrc":
+        grads[f"gru_w{gate}"] = np.tensordot(xs, dgate[gate], axes=steps_and_batch)
+        grads[f"gru_u{gate}"] = np.tensordot(recurrent_in[gate], dgate[gate], axes=steps_and_batch)
+        grads[f"gru_b{gate}"] = dgate[gate].sum(axis=(0, 1))
+        dxs = dxs + dgate[gate] @ params[f"gru_w{gate}"].T
 
-        dz_pre = dz * z * (1.0 - z)
-        grads["gru_wz"] += xt.T @ dz_pre
-        grads["gru_uz"] += hprev.T @ dz_pre
-        grads["gru_bz"] += dz_pre.sum(axis=0)
-        dxt += dz_pre @ params["gru_wz"].T
-        dhprev += dz_pre @ params["gru_uz"].T
-
-        dr_pre = dr * r * (1.0 - r)
-        grads["gru_wr"] += xt.T @ dr_pre
-        grads["gru_ur"] += hprev.T @ dr_pre
-        grads["gru_br"] += dr_pre.sum(axis=0)
-        dxt += dr_pre @ params["gru_wr"].T
-        dhprev += dr_pre @ params["gru_ur"].T
-
-        dconv[:, :, t] = dxt
-        dh = dhprev
-
-    dout = dconv
+    dout = dxs.transpose(1, 2, 0)
     for i in range(config.res_blocks - 1, -1, -1):
         blk = cache["res"][i]
         dpre = dout * (blk["pre"] > 0)
@@ -374,8 +355,7 @@ def train(
 def predict(params: dict[str, np.ndarray], mau, config: ModelConfig) -> float:
     """Probability that one MAU belongs to the legitimate user (class 1)."""
     values = np.asarray(getattr(mau, "values", mau), dtype=float)
-    probs, _ = forward(params, values[None, :], config)
-    return float(probs[0, 1])
+    return float(predict_batch(params, values[None, :], config)[0])
 
 
 def predict_batch(

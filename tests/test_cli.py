@@ -83,6 +83,19 @@ def test_invalid_config_exit_code(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("values", [
+    {"dt": "0.01"},
+    {"epochs": "3"},
+    {"candidates": 5},
+    {"mau_length": 30.5},
+])
+def test_wrongly_typed_config_exit_code(tmp_path, values):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(values))
+    code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
+    assert code == 2
+
+
 @pytest.mark.parametrize("schema", [
     {"ts": "t", "x_col": "x", "y_col": "y"},  # unknown key
     {"x_col": "x", "y_col": "y"},  # timestamp_col missing

@@ -15,6 +15,8 @@ from mouseauth.model import (
     AdamState,
     ModelConfig,
     TrainConfig,
+    _conv1d,
+    _conv1d_backward,
     adam_step,
     backward,
     batch_from_maus,
@@ -182,6 +184,38 @@ def test_backward_label_count_mismatch():
     _, cache = forward(params, tiny_batch(2, seed=1), TINY)
     with pytest.raises(ShapeMismatch):
         backward(params, np.array([0, 1, 1]), cache, TINY)
+
+
+def conv1d_by_taps(x, w, b):
+    """y[b, o, l] = b[o] + sum over c, k of w[o, c, k] x[b, c, l + k - K//2],
+    with x zero outside [0, L)."""
+    B, C, L = x.shape
+    O, _, K = w.shape
+    y = np.zeros((B, O, L)) + b[:, None]
+    for l in range(L):
+        for k in range(K):
+            src = l + k - K // 2
+            if 0 <= src < L:
+                y[:, :, l] += x[:, :, src] @ w[:, :, k].T
+    return y
+
+
+@pytest.mark.parametrize("K", [1, 3, 5, 7])
+@pytest.mark.parametrize("B, L", [(1, 9), (4, 9), (3, 2)])  # L=2 is shorter than K>=3
+def test_conv1d_matches_tap_sum_and_its_adjoint(K, B, L):
+    rng = np.random.default_rng(K * 100 + B * 10 + L)
+    x = rng.normal(size=(B, 2, L))
+    w = rng.normal(size=(3, 2, K))
+    b = rng.normal(size=3)
+    dy = rng.normal(size=(B, 3, L))
+    y, win = _conv1d(x, w, b)
+    assert np.max(np.abs(y - conv1d_by_taps(x, w, b))) <= 1e-12
+    dw, _, dx = _conv1d_backward(dy, win, w)
+    # conv(x, w) - b is bilinear in x and w, so dy's inner product with it
+    # equals both <x, dx> and <w, dw>
+    lhs = np.vdot(y - b[:, None], dy)
+    assert abs(lhs - np.vdot(x, dx)) <= 1e-12
+    assert abs(lhs - np.vdot(w, dw)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
