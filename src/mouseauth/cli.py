@@ -13,12 +13,13 @@ import dataclasses
 import hashlib
 import json
 import sys
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 
 from . import evaluation, ingest, kinematics, mau, model, sufficiency, synth
-from .errors import ConfigError, MouseAuthError, ShapeMismatch
+from .errors import ConfigError, MouseAuthError, SchemaError, ShapeMismatch
 
 
 def _has_type_of(value, default) -> bool:
@@ -102,9 +103,14 @@ class PipelineConfig:
             if not ok:
                 raise ConfigError(message)
         try:
-            self.schema_map()
-        except TypeError as exc:  # a missing or unknown schema key
+            schema = self.schema_map()
+        except (TypeError, SchemaError) as exc:  # a missing or unknown key, a bad value
             raise ConfigError(f"bad schema {self.schema!r}: {exc}") from exc
+        for name, kind in typing.get_type_hints(ingest.SchemaMap).items():
+            value = getattr(schema, name)
+            if not isinstance(value, kind):
+                kind = getattr(kind, "__name__", kind)
+                raise ConfigError(f"schema {name} must be of type {kind}, got {value!r}")
         try:
             self.model_config()
             self.train_config()

@@ -125,17 +125,22 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
 
 
 def _conv1d_backward(dy: np.ndarray, win: np.ndarray, w: np.ndarray):
-    """Kernel, bias and input gradients of _conv1d, given the output gradient.
-
-    The input gradient is the adjoint of the convolution: with K odd and
-    symmetric zero padding, <conv(x, w) - b, dy> = <x, conv(dy, w')> for
-    w'[c, o, k] = w[o, c, K-1-k], so it is the same convolution run with the
-    kernel flipped along k and its channel axes swapped.
-    """
+    """Kernel and bias gradients of _conv1d, given the output gradient and
+    the window matrix of its forward call."""
     dw = np.tensordot(dy, win, axes=([0, 2], [0, 1])).reshape(w.shape)
-    db = dy.sum(axis=(0, 2))
+    return dw, dy.sum(axis=(0, 2))
+
+
+def _conv1d_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of _conv1d, given the output gradient.
+
+    With K odd and symmetric zero padding, <conv(x, w) - b, dy> =
+    <x, conv(dy, w')> for w'[c, o, k] = w[o, c, K-1-k], so it is the same
+    convolution run with the kernel flipped along k and its channel axes
+    swapped.
+    """
     dx, _ = _conv1d(dy, w[:, :, ::-1].transpose(1, 0, 2), np.zeros(w.shape[1]))
-    return dw, db, dx
+    return dx
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -263,16 +268,17 @@ def backward(
     for i in range(config.res_blocks - 1, -1, -1):
         blk = cache["res"][i]
         dpre = dout * (blk["pre"] > 0)
-        dw2, db2, dy1 = _conv1d_backward(dpre, blk["win2"], params[f"res{i}_w2"])
-        grads[f"res{i}_w2"], grads[f"res{i}_b2"] = dw2, db2
-        dy1 *= blk["y1_pre"] > 0
-        dw1, db1, din = _conv1d_backward(dy1, blk["win1"], params[f"res{i}_w1"])
-        grads[f"res{i}_w1"], grads[f"res{i}_b1"] = dw1, db1
-        dout = din + dpre  # skip connection
+        grads[f"res{i}_w2"], grads[f"res{i}_b2"] = _conv1d_backward(
+            dpre, blk["win2"], params[f"res{i}_w2"])
+        dy1 = _conv1d_adjoint(dpre, params[f"res{i}_w2"]) * (blk["y1_pre"] > 0)
+        grads[f"res{i}_w1"], grads[f"res{i}_b1"] = _conv1d_backward(
+            dy1, blk["win1"], params[f"res{i}_w1"])
+        dout = _conv1d_adjoint(dy1, params[f"res{i}_w1"]) + dpre  # skip connection
 
     dstem = dout * (cache["stem_pre"] > 0)
-    dw, db, _ = _conv1d_backward(dstem, cache["stem_win"], params["stem_w"])
-    grads["stem_w"], grads["stem_b"] = dw, db
+    # the stem's input is the data, so it needs no input gradient
+    grads["stem_w"], grads["stem_b"] = _conv1d_backward(
+        dstem, cache["stem_win"], params["stem_w"])
     return grads
 
 

@@ -9,7 +9,9 @@ import pytest
 from mouseauth.cli import PRESETS, PipelineConfig, build_parser, load_config, main
 from mouseauth import model
 from mouseauth.errors import ConfigError
-from mouseauth.ingest import SchemaMap
+from mouseauth.ingest import SchemaMap, load_user
+from mouseauth.kinematics import velocity_sequence
+from mouseauth.sufficiency import _prefix_kl
 from mouseauth.synth import SynthSpec, generate, to_session_csv
 
 
@@ -76,6 +78,23 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(Args())
 
 
+def test_sufficiency_report_names_the_exact_kl_values(tmp_path):
+    vel = generate(SynthSpec("gaussian_iid", {"mean": 10, "std": 1}, 3400, seed=1))
+    vel.v[2450] = 30.0  # a far outlier: step n=2400 goes to the exact KDE
+    csv_path = tmp_path / "sess.csv"
+    csv_path.write_text(to_session_csv(vel))
+    out = tmp_path / "out"
+    assert main(["sufficiency", "--user", "u9", "--out", str(out), str(csv_path)]) == 0
+    report = json.loads((out / "sufficiency_sess.json").read_text())
+    rows = (out / "kl_sess.csv").read_text().splitlines()[1:]
+    kl = {int(n): float(value) for n, value in (row.split(",") for row in rows)}
+    assert 2400 in report["exact_steps"] and set(report["exact_steps"]) <= set(kl)
+    (session,), _ = load_user([csv_path], SchemaMap("t", "x", "y"), "u9")
+    v = velocity_sequence(session, 0.01).v
+    for n in report["exact_steps"]:
+        assert kl[n] == _prefix_kl(v, n, 200)
+
+
 def test_invalid_config_exit_code(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"dt": -1}))
@@ -100,10 +119,24 @@ def test_wrongly_typed_config_exit_code(tmp_path, values):
     {"ts": "t", "x_col": "x", "y_col": "y"},  # unknown key
     {"x_col": "x", "y_col": "y"},  # timestamp_col missing
     ["t", "x", "y"],  # not a mapping
+    {"timestamp_col": "x", "x_col": "x", "y_col": "y"},  # columns not distinct
 ])
 def test_bad_schema_exit_code(tmp_path, capsys, schema):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"schema": schema}))
+    code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("schema", [
+    {"timestamp_col": 5},
+    {"has_header": "yes"},
+    {"state_col": 3},
+])
+def test_wrongly_typed_schema_exit_code(tmp_path, capsys, schema):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"schema": {**PipelineConfig().schema, **schema}}))
     code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"

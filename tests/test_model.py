@@ -16,6 +16,7 @@ from mouseauth.model import (
     ModelConfig,
     TrainConfig,
     _conv1d,
+    _conv1d_adjoint,
     _conv1d_backward,
     adam_step,
     backward,
@@ -210,7 +211,8 @@ def test_conv1d_matches_tap_sum_and_its_adjoint(K, B, L):
     dy = rng.normal(size=(B, 3, L))
     y, win = _conv1d(x, w, b)
     assert np.max(np.abs(y - conv1d_by_taps(x, w, b))) <= 1e-12
-    dw, _, dx = _conv1d_backward(dy, win, w)
+    dw, _ = _conv1d_backward(dy, win, w)
+    dx = _conv1d_adjoint(dy, w)
     # conv(x, w) - b is bilinear in x and w, so dy's inner product with it
     # equals both <x, dx> and <w, dw>
     lhs = np.vdot(y - b[:, None], dy)

@@ -1,4 +1,6 @@
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from mouseauth.errors import (
 )
 from mouseauth.kinematics import VelocitySequence
 from mouseauth.sufficiency import (
-
+    _prefix_kl,
     aggregate_user_volume,
     kde,
     kl_divergence,
@@ -108,6 +110,31 @@ def test_kde_normalization():
     assert np.all(est.density >= 0)
 
 
+def test_kde_sums_each_block_of_4096_samples_in_order():
+    samples = gaussian_samples(9000, seed=8)
+    grid = np.linspace(-6, 6, 1024)
+    for n in (1, 255, 256, 257, 4096, 4097, 9000):
+        want = np.zeros_like(grid)
+        for start in range(0, n, 4096):
+            z = (grid[None, :] - samples[start : min(start + 4096, n), None]) / 0.2
+            want += np.exp(-0.5 * z * z).sum(axis=0)
+        want *= 1.0 / (math.sqrt(2.0 * math.pi) * 0.2) / n
+        assert np.array_equal(kde(samples[:n], grid, 0.2).density, want), n
+
+
+def test_kde_memory_does_not_grow_with_samples():
+    grid = np.linspace(-6, 6, 1024)
+    peaks = []
+    for n in (1000, 20000):
+        samples = gaussian_samples(n, seed=9)
+        tracemalloc.start()
+        kde(samples, grid, 0.2)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] > 256 * 1024 * 8  # the kernels of KDE_ROWS samples
+    assert peaks[1] < peaks[0] + 64 * 1024
+
+
 # ---------------------------------------------------------------------------
 # kl divergence
 
@@ -188,6 +215,55 @@ def test_sufficiency_trajectory_shape():
     assert ns == list(range(200, 2801, 200))
     assert report.exhausted
     assert all(klv >= -1e-9 for _, klv in report.kl_trajectory)
+
+
+IID = {"mean": 10, "std": 1}
+SINE = {"amplitude": 3, "period": 50, "noise_std": 1, "mean": 10}
+AR07 = {"phi": 0.7, "sigma": 1, "mean": 10}
+AR09 = {"phi": 0.9, "sigma": 1, "mean": 10}
+
+# (kind, params, length, seed, n_hat of the scan on the exact KDE alone)
+EXACT_SCAN_N_HAT = (
+    [("gaussian_iid", IID, 50000, seed, n_hat)
+     for seed, n_hat in zip(range(5, 10), (8200, 5200, 5400, 7800, 5800))]
+    + [("gaussian_iid", IID, 14000, seed, n_hat)
+       for seed, n_hat in zip((1, 2, 3), (2600, 7600, 10000))]
+    + [("sine_plus_noise", SINE, 14000, seed, n_hat)
+       for seed, n_hat in zip((1, 2, 3), (6200, 5400, 2800))]
+    + [("ar1", AR07, 14000, seed, n_hat)
+       for seed, n_hat in zip((1, 2, 3), ("exhausted", 10200, "exhausted"))]
+    + [("ar1", AR09, 30000, 1, 19600)]
+)
+
+
+@pytest.mark.parametrize("kind, params, length, seed, n_hat", EXACT_SCAN_N_HAT)
+def test_screened_scan_keeps_the_exact_n_hat(kind, params, length, seed, n_hat):
+    m, eps1, eps2 = 200, 1e-4, 1e-6
+    v = generate(SynthSpec(kind, params, length, seed)).v
+    report = sufficiency_point(make_vel(v), m, eps1, eps2)
+    assert report.n_hat == n_hat
+    steps = [n for n, _ in report.kl_trajectory]
+    assert steps == list(range(m, steps[-1] + 1, m))
+    assert set(report.exact_steps) <= set(steps)
+
+    exact_kl = functools.cache(lambda n: _prefix_kl(v, n, m))
+
+    def exact_stop(n):
+        return abs(exact_kl(n)) <= eps1 and abs(exact_kl(n + m) - exact_kl(n)) <= eps2
+
+    # the exact KDE alone re-decides around the reported stopping point
+    if report.exhausted:
+        assert steps[-1] + 2 * m > length and not exact_stop(steps[-2])
+    else:
+        assert exact_stop(n_hat) and not exact_stop(n_hat - m)
+
+
+def test_far_outlier_step_goes_to_the_judge():
+    v = generate(SynthSpec("gaussian_iid", IID, 3400, seed=1)).v.copy()
+    v[2450] = 30.0  # 20 std above the mean; step n=2400 brings it in
+    report = sufficiency_point(make_vel(v), 200, 1e-4, 1e-6)
+    assert 2400 in report.exact_steps
+    assert dict(report.kl_trajectory)[2400] == _prefix_kl(v, 2400, 200)
 
 
 def test_sufficiency_validates_params():
