@@ -18,7 +18,7 @@ from pathlib import Path
 
 
 from . import evaluation, ingest, kinematics, mau, model, sufficiency, synth
-from .errors import ConfigError, MouseAuthError, SchemaError, ShapeMismatch
+from .errors import ConfigError, MouseAuthError
 
 
 def _has_type_of(value, default) -> bool:
@@ -89,22 +89,20 @@ class PipelineConfig:
                 all(b > a for a, b in zip(self.candidates, self.candidates[1:])),
                 "candidates must be strictly increasing",
             ),
-            (self.batch_size >= 1 and self.epochs >= 1, "batch_size/epochs must be >= 1"),
-            (self.pos_neg_ratio > 0, "pos_neg_ratio must be positive"),
-            (self.unseen_count >= 1, "unseen_count must be >= 1"),
-            (0 < self.train_frac < 1, "train_frac must be in (0, 1)"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
         try:
             self.schema_map()
-        except (TypeError, SchemaError) as exc:  # a missing or unknown key, a bad value
+        except (TypeError, MouseAuthError) as exc:  # a missing or unknown key, a bad value
             raise ConfigError(f"bad schema {self.schema!r}: {exc}") from exc
         try:
             self.model_config()
             self.train_config()
-        except (ShapeMismatch, ValueError) as exc:
+            evaluation.check_split_settings(self.pos_neg_ratio, self.unseen_count,
+                                            self.train_frac)
+        except MouseAuthError as exc:
             raise ConfigError(str(exc)) from exc
 
     def schema_map(self) -> ingest.SchemaMap:
@@ -152,15 +150,18 @@ PRESETS = {
 }
 
 
+def _load_json_object(path: str) -> dict:
+    try:
+        values = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not JSON: {exc}") from exc
+    if not isinstance(values, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {values!r}")
+    return values
+
+
 def load_config(args) -> PipelineConfig:
-    values: dict = {}
-    if args.config:
-        try:
-            values = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{args.config} is not JSON: {exc}") from exc
-        if not isinstance(values, dict):
-            raise ConfigError(f"{args.config} must hold a JSON object, got {values!r}")
+    values = _load_json_object(args.config) if args.config else {}
     # a preset is not a config field: it only fills in the fields it names
     preset = getattr(args, "preset", None) or values.get("preset")
     values.pop("preset", None)
@@ -335,15 +336,26 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def load_specs(path: str) -> dict[str, list[synth.SynthSpec]]:
+    """The synth spec file: a JSON object mapping each user to a list of
+    SynthSpec fields. A malformed file is a ConfigError, as a malformed
+    config file is."""
+    doc = _load_json_object(path)
+    if not doc or not all(isinstance(entries, list) for entries in doc.values()):
+        raise ConfigError(f"{path} must map one or more users to lists of specs")
+    try:
+        return {
+            user: [synth.SynthSpec(**entry) for entry in entries]
+            for user, entries in doc.items()
+        }
+    except (TypeError, MouseAuthError) as exc:  # an entry that is not SynthSpec fields
+        raise ConfigError(f"bad spec in {path}: {exc}") from exc
+
+
 def cmd_synth(args) -> int:
     cfg = load_config(args)
     out = _out_dir(cfg)
-    spec_doc = json.loads(Path(args.spec).read_text())
-    specs = {
-        user: [synth.SynthSpec(**entry) for entry in entries]
-        for user, entries in spec_doc.items()
-    }
-    pool = synth.generate_user_pool(specs, dt=cfg.dt)
+    pool = synth.generate_user_pool(load_specs(args.spec), dt=cfg.dt)
     written = []
     for user, vels in sorted(pool.items()):
         user_dir = out / user
@@ -419,7 +431,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 2
-    except (MouseAuthError, OSError, json.JSONDecodeError, ValueError) as exc:
+    except (MouseAuthError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
         return 1

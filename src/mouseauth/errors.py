@@ -1,87 +1,19 @@
-"""Exception hierarchy shared across the package."""
+"""Exception classes: one per way a caller handles an error.
+
+The command line exits 2 on a ConfigError and 1 on any other MouseAuthError,
+and ingest.load_user skips a file that raises EmptySession. Every failure
+that no caller tells apart raises MouseAuthError itself; its message says
+what went wrong.
+"""
 
 
 class MouseAuthError(Exception):
     """Base class for all package errors."""
 
 
-# ingest
-class SchemaError(MouseAuthError):
-    """A column named in the schema is missing from the file."""
+class ConfigError(MouseAuthError):
+    """Pipeline configuration violates a downstream precondition."""
 
 
 class EmptySession(MouseAuthError):
     """No valid rows survived parsing."""
-
-
-class NoSessions(MouseAuthError):
-    """Every file of a user failed to parse."""
-
-
-# kinematics / mau / sufficiency
-class TooShort(MouseAuthError):
-    """Sequence too short for the requested computation."""
-
-
-class InvalidDt(MouseAuthError):
-    """Non-positive sampling interval."""
-
-
-class TooFewSamples(MouseAuthError):
-    """Bandwidth estimation needs at least two samples."""
-
-
-class InvalidBandwidth(MouseAuthError):
-    """Non-positive kernel bandwidth."""
-
-
-class EmptyInput(MouseAuthError):
-    """Empty sample set where at least one value is required."""
-
-
-class GridMismatch(MouseAuthError):
-    """Two density estimates do not share the same evaluation grid."""
-
-
-class OutOfRange(MouseAuthError):
-    """Window index or parameter outside its valid range."""
-
-
-# model
-class ShapeMismatch(MouseAuthError):
-    """Array shapes inconsistent with the model configuration."""
-
-
-class LabelOutOfRange(MouseAuthError):
-    """Class label outside {0, 1}."""
-
-
-class SingleClassDataset(MouseAuthError):
-    """Training data contains only one class."""
-
-
-# evaluation
-class SingleClass(MouseAuthError):
-    """Metric requires both legitimate and imposter samples."""
-
-
-class EmptySet(MouseAuthError):
-    """Metric called on an empty score set."""
-
-
-class InsufficientUsers(MouseAuthError):
-    """Not enough users to build the requested split."""
-
-
-class InsufficientData(MouseAuthError):
-    """Not enough samples to build the requested split."""
-
-
-# synth
-class InvalidSpec(MouseAuthError):
-    """Malformed synthetic-data specification."""
-
-
-# cli
-class ConfigError(MouseAuthError):
-    """Pipeline configuration violates a downstream precondition."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptySet, InsufficientData, InsufficientUsers, SingleClass
+from .errors import MouseAuthError
 from .mau import Mau
 from . import model as model_mod
 
@@ -29,7 +29,7 @@ class ScoredSet:
         self.scores = np.asarray(self.scores, dtype=float)
         self.labels = np.asarray(self.labels, dtype=int)
         if len(self.scores) != len(self.labels):
-            raise EmptySet("scores and labels must have equal length")
+            raise MouseAuthError("scores and labels must have equal length")
 
 
 @dataclass
@@ -45,9 +45,9 @@ class EvalReport:
 
 def _require_both_classes(scored: ScoredSet):
     if len(scored.scores) == 0:
-        raise EmptySet("empty score set")
+        raise MouseAuthError("empty score set")
     if len(np.unique(scored.labels)) < 2:
-        raise SingleClass("need at least one legitimate and one imposter sample")
+        raise MouseAuthError("need at least one legitimate and one imposter sample")
 
 
 def confusion_counts(scored: ScoredSet, threshold: float) -> dict:
@@ -64,7 +64,7 @@ def confusion_counts(scored: ScoredSet, threshold: float) -> dict:
 def f1_score(scored: ScoredSet, threshold: float = DECISION_THRESHOLD) -> float:
     """Harmonic mean of precision and recall; legitimate is the positive class."""
     if len(scored.scores) == 0:
-        raise EmptySet("empty score set")
+        raise MouseAuthError("empty score set")
     c = confusion_counts(scored, threshold)
     tp, fp, fn = c["tp"], c["fp"], c["fn"]
     precision = tp / (tp + fp) if tp + fp else 0.0
@@ -124,7 +124,7 @@ def dsr(attack_scores: np.ndarray, threshold: float = DECISION_THRESHOLD) -> flo
     """Fraction of attack samples rejected (score below threshold)."""
     attack_scores = np.asarray(attack_scores, dtype=float)
     if len(attack_scores) == 0:
-        raise EmptySet("no attack scores")
+        raise MouseAuthError("no attack scores")
     return float(np.count_nonzero(attack_scores < threshold)) / len(attack_scores)
 
 
@@ -150,6 +150,18 @@ class Split:
         return model_mod.batch_from_maus(self.test_maus), np.array(self.test_labels)
 
 
+def check_split_settings(ratio: float, unseen_count: int, train_frac: float):
+    """Raise MouseAuthError unless build_splits can honour these settings:
+    a positive ratio, at least one unseen user (DSR needs one) and a
+    train_frac in (0, 1)."""
+    if not ratio > 0:
+        raise MouseAuthError("pos_neg_ratio must be positive")
+    if unseen_count < 1:
+        raise MouseAuthError("unseen_count must be >= 1")
+    if not 0 < train_frac < 1:
+        raise MouseAuthError("train_frac must be in (0, 1)")
+
+
 def build_splits(
     users: dict[str, list[Mau]],
     legit_user: str,
@@ -165,11 +177,12 @@ def build_splits(
     legitimate MAUs, remaining known-imposter MAUs, and every MAU of
     unseen_count users excluded from training entirely.
     """
+    check_split_settings(ratio, unseen_count, train_frac)
     if legit_user not in users:
-        raise InsufficientUsers(f"unknown legitimate user {legit_user!r}")
+        raise MouseAuthError(f"unknown legitimate user {legit_user!r}")
     others = sorted(u for u in users if u != legit_user)
     if len(others) < 1 + unseen_count:
-        raise InsufficientUsers(
+        raise MouseAuthError(
             f"need >= {2 + unseen_count} users, have {len(users)}"
         )
     rng = np.random.default_rng(seed)
@@ -179,7 +192,7 @@ def build_splits(
     legit_maus = users[legit_user]
     n_train_pos = int(round(train_frac * len(legit_maus)))
     if n_train_pos < 1 or n_train_pos == len(legit_maus):
-        raise InsufficientData(f"{legit_user}: too few MAUs to split")
+        raise MouseAuthError(f"{legit_user}: too few MAUs to split")
     order = rng.permutation(len(legit_maus))
     train_pos = [legit_maus[i] for i in order[:n_train_pos]]
     test_pos = [legit_maus[i] for i in order[n_train_pos:]]
@@ -187,7 +200,7 @@ def build_splits(
     imposter_pool = [(u, m) for u in known for m in users[u]]
     n_train_neg = max(1, int(round(n_train_pos / ratio)))
     if len(imposter_pool) <= n_train_neg:
-        raise InsufficientData("not enough known-imposter MAUs for the ratio")
+        raise MouseAuthError("not enough known-imposter MAUs for the ratio")
     imp_order = rng.permutation(len(imposter_pool))
     train_neg = [imposter_pool[i][1] for i in imp_order[:n_train_neg]]
     test_neg = [imposter_pool[i][1] for i in imp_order[n_train_neg:]]

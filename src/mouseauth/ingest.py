@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySession, NoSessions, SchemaError
+from .errors import EmptySession, MouseAuthError
 
 
 @dataclass(frozen=True)
@@ -26,9 +26,9 @@ class SchemaMap:
     def __post_init__(self):
         names = (self.timestamp_col, self.x_col, self.y_col)
         if not all(isinstance(name, str) for name in names):
-            raise SchemaError(f"column names must be strings, got {names!r}")
+            raise MouseAuthError(f"column names must be strings, got {names!r}")
         if len(set(names)) != 3:
-            raise SchemaError("timestamp, x and y columns must be distinct")
+            raise MouseAuthError("timestamp, x and y columns must be distinct")
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,7 @@ def parse_session(
         idx_x = header.index(schema.x_col)
         idx_y = header.index(schema.y_col)
     except ValueError as exc:
-        raise SchemaError(f"{session_id}: missing column: {exc}") from None
+        raise MouseAuthError(f"{session_id}: missing column: {exc}") from None
 
     parsed: list[tuple[float, float, float]] = []
     for row in rows[1:]:
@@ -117,11 +117,11 @@ def load_user(
     """Parse all session files of one user, in input order.
 
     Files that raise EmptySession are skipped; their report carries zero
-    events. A file that cannot be read raises OSError. Raises NoSessions if
-    nothing parses.
+    events. A file that cannot be read raises OSError. Raises MouseAuthError
+    if nothing parses.
     """
     if not paths:
-        raise NoSessions(f"{user_id}: no input files")
+        raise MouseAuthError(f"{user_id}: no input files")
     sessions: list[Session] = []
     reports: list[ParseReport] = []
     for path in paths:
@@ -136,5 +136,5 @@ def load_user(
         sessions.append(session)
         reports.append(report)
     if not sessions:
-        raise NoSessions(f"{user_id}: all {len(paths)} files failed to parse")
+        raise MouseAuthError(f"{user_id}: all {len(paths)} files failed to parse")
     return sessions, reports

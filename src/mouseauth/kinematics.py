@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDt, TooShort
+from .errors import MouseAuthError
 from .ingest import Session
 
 
@@ -23,13 +23,13 @@ class VelocitySequence:
 def displacements(session: Session) -> np.ndarray:
     """Euclidean distance between consecutive cursor positions."""
     if len(session.t) < 2:
-        raise TooShort(f"{session.session_id}: need >= 2 events")
+        raise MouseAuthError(f"{session.session_id}: need >= 2 events")
     return np.hypot(np.diff(session.x), np.diff(session.y))
 
 
 def velocity_sequence(session: Session, dt: float = 0.01) -> VelocitySequence:
     """Convert a session to a speed sequence at the fixed sampling interval dt."""
     if dt <= 0:
-        raise InvalidDt(f"dt must be positive, got {dt}")
+        raise MouseAuthError(f"dt must be positive, got {dt}")
     v = displacements(session) / dt
     return VelocitySequence(session.user_id, session.session_id, dt, v)

@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import OutOfRange, TooShort
+from .errors import MouseAuthError
 from .kinematics import VelocitySequence
 
 SLOPE_THRESHOLD = 1e-4
@@ -109,9 +109,9 @@ def apen(seq: np.ndarray, m: int, r: float) -> float:
     seq = np.asarray(seq, dtype=float)
     n = len(seq)
     if m < 1 or r <= 0:
-        raise OutOfRange("need m >= 1 and r > 0")
+        raise MouseAuthError("need m >= 1 and r > 0")
     if n < m + 2:
-        raise TooShort(f"apen needs length >= m + 2, got {n} with m={m}")
+        raise MouseAuthError(f"apen needs length >= m + 2, got {n} with m={m}")
     counts = _match_counts_by_length(seq, m + 1, r)
     return _phi(counts, n, m) - _phi(counts, n, m + 1)
 
@@ -134,12 +134,12 @@ def apen_profile(
     if any(c < 1 for c in candidates) or any(
         b <= a for a, b in zip(candidates, candidates[1:])
     ):
-        raise OutOfRange("candidates must be strictly increasing and >= 1")
+        raise MouseAuthError("candidates must be strictly increasing and >= 1")
     if r_factor <= 0:
-        raise OutOfRange("r_factor must be positive")
+        raise MouseAuthError("r_factor must be positive")
     seq = np.asarray(vel.v, dtype=float)[:cap]
     if len(seq) < max(candidates) + 2:
-        raise TooShort(
+        raise MouseAuthError(
             f"{vel.session_id}: capped length {len(seq)} < max candidate + 2"
         )
     sigma = float(seq.std(ddof=1))
@@ -175,7 +175,7 @@ def segment(vel: VelocitySequence, length: int) -> list[Mau]:
     shared samples.
     """
     if length < 1:
-        raise OutOfRange("MAU length must be >= 1")
+        raise MouseAuthError("MAU length must be >= 1")
     v = np.asarray(vel.v, dtype=float)
     return [
         Mau(

@@ -15,11 +15,7 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (
-    LabelOutOfRange,
-    ShapeMismatch,
-    SingleClassDataset,
-)
+from .errors import MouseAuthError
 
 CHECKPOINT_VERSION = 1
 PROB_FLOOR = 1e-12
@@ -43,11 +39,11 @@ class ModelConfig:
 
     def __post_init__(self):
         if self.kernel_size % 2 == 0 or self.res_kernel % 2 == 0:
-            raise ShapeMismatch("kernel sizes must be odd (symmetric padding)")
+            raise MouseAuthError("kernel sizes must be odd (symmetric padding)")
         for name in ("input_length", "conv_channels", "kernel_size", "res_blocks",
                      "res_kernel", "gru_hidden"):
             if getattr(self, name) < 1:
-                raise ShapeMismatch(f"{name} must be >= 1")
+                raise MouseAuthError(f"{name} must be >= 1")
 
 
 @dataclass
@@ -59,7 +55,9 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+            raise MouseAuthError("learning_rate must be positive")
+        if self.batch_size < 1 or self.epochs < 1:
+            raise MouseAuthError("batch_size/epochs must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +99,7 @@ def _check_shapes(params: dict[str, np.ndarray], config: ModelConfig):
     got = {name: arr.shape for name, arr in params.items()}
     if got != shapes:
         mismatched = sorted(set(got.items()) ^ set(shapes.items()))
-        raise ShapeMismatch(f"parameters do not match the config: {mismatched}")
+        raise MouseAuthError(f"parameters do not match the config: {mismatched}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +168,7 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     _check_shapes(params, config)
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != config.input_length:
-        raise ShapeMismatch(
+        raise MouseAuthError(
             f"batch must be (B, {config.input_length}), got {batch.shape}"
         )
     x = standardize_batch(batch) if config.standardize else batch
@@ -216,7 +214,7 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     probs = np.asarray(probs, dtype=float)
     labels = np.asarray(labels, dtype=int)
     if np.any((labels < 0) | (labels >= probs.shape[1])):
-        raise LabelOutOfRange("labels must be in {0, 1}")
+        raise MouseAuthError("labels must be in {0, 1}")
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
 
@@ -232,7 +230,7 @@ def backward(
     labels = np.asarray(labels, dtype=int)
     B = len(cache["x"])
     if labels.shape != (B,):
-        raise ShapeMismatch(f"expected {B} labels for the cached batch, got {labels.shape}")
+        raise MouseAuthError(f"expected {B} labels for the cached batch, got {labels.shape}")
     dlogits = cache["probs"].copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
@@ -307,14 +305,14 @@ def adam_step(
 ) -> tuple[dict[str, np.ndarray], AdamState]:
     """Standard Adam with bias correction; returns fresh params and state."""
     if set(grads) != set(params):
-        raise ShapeMismatch("gradient names do not match parameters")
+        raise MouseAuthError("gradient names do not match parameters")
     state.t += 1
     t = state.t
     out = {}
     for name, p in params.items():
         g = grads[name]
         if g.shape != p.shape:
-            raise ShapeMismatch(f"{name}: gradient shape {g.shape} != {p.shape}")
+            raise MouseAuthError(f"{name}: gradient shape {g.shape} != {p.shape}")
         state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
         state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
         m_hat = state.m[name] / (1 - ADAM_BETA1**t)
@@ -337,9 +335,9 @@ def train(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     if X.ndim != 2 or X.shape[1] != mcfg.input_length:
-        raise ShapeMismatch(f"X must be (N, {mcfg.input_length})")
+        raise MouseAuthError(f"X must be (N, {mcfg.input_length})")
     if len(set(y.tolist())) < 2:
-        raise SingleClassDataset("training data must contain both classes")
+        raise MouseAuthError("training data must contain both classes")
 
     params = init_params(mcfg)
     state = AdamState.zeros_like(params)
@@ -386,14 +384,14 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config: Mod
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     payload = json.loads(Path(path).read_text())
     if payload.get("version") != CHECKPOINT_VERSION:
-        raise ShapeMismatch(f"unsupported checkpoint version: {payload.get('version')}")
+        raise MouseAuthError(f"unsupported checkpoint version: {payload.get('version')}")
     if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):
-        raise ShapeMismatch('checkpoint needs a "config" and a "params" object')
+        raise MouseAuthError('checkpoint needs a "config" and a "params" object')
     config_doc = dict(payload["config"])
     # checkpoints written before the head was fixed at two classes record it
     classes = config_doc.pop("classes", 2)
     if classes != 2 or set(config_doc) != {f.name for f in fields(ModelConfig)}:
-        raise ShapeMismatch(f"checkpoint config does not match ModelConfig: {payload['config']}")
+        raise MouseAuthError(f"checkpoint config does not match ModelConfig: {payload['config']}")
     config = ModelConfig(**config_doc)
     params = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
     _check_shapes(params, config)

@@ -18,13 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyInput,
-    GridMismatch,
-    InvalidBandwidth,
-    TooFewSamples,
-    TooShort,
-)
+from .errors import MouseAuthError
 from .kinematics import VelocitySequence
 
 GRID_POINTS = 1024
@@ -96,7 +90,7 @@ def silverman_bandwidth(samples: np.ndarray) -> float:
     samples = np.asarray(samples, dtype=float)
     n = len(samples)
     if n < 2:
-        raise TooFewSamples("bandwidth needs >= 2 samples")
+        raise MouseAuthError("bandwidth needs >= 2 samples")
     sigma = samples.std(ddof=1)
     if sigma < 1e-12:
         return BANDWIDTH_FLOOR
@@ -108,11 +102,11 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> DensityEstim
     samples = np.asarray(samples, dtype=float)
     grid = np.asarray(grid, dtype=float)
     if len(samples) == 0:
-        raise EmptyInput("kde needs at least one sample")
+        raise MouseAuthError("kde needs at least one sample")
     if bandwidth <= 0:
-        raise InvalidBandwidth(f"bandwidth must be positive, got {bandwidth}")
+        raise MouseAuthError(f"bandwidth must be positive, got {bandwidth}")
     if np.any(np.diff(grid) <= 0):
-        raise GridMismatch("grid must be strictly increasing")
+        raise MouseAuthError("grid must be strictly increasing")
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
     density = np.zeros_like(grid)
     # Each block of KDE_CHUNK samples is summed in sample order, then added
@@ -145,7 +139,7 @@ def kl_divergence(p: DensityEstimate, q: DensityEstimate) -> float:
     results from integration error are clamped to zero.
     """
     if len(p.grid) != len(q.grid) or not np.array_equal(p.grid, q.grid):
-        raise GridMismatch("density estimates must share an identical grid")
+        raise MouseAuthError("density estimates must share an identical grid")
     fp = np.maximum(p.density, DENSITY_FLOOR)
     fq = np.maximum(q.density, DENSITY_FLOOR)
     integrand = fp * np.log(fp / fq)
@@ -239,12 +233,12 @@ def sufficiency_point(
     is decided on the recorded values, so the trajectory obeys it.
     """
     if step_m < 2:
-        raise ValueError("step_m must be >= 2")
+        raise MouseAuthError("step_m must be >= 2")
     if eps1 <= 0 or eps2 <= 0:
-        raise ValueError("eps1 and eps2 must be positive")
+        raise MouseAuthError("eps1 and eps2 must be positive")
     v = np.asarray(vel.v, dtype=float)
     if len(v) < 3 * step_m:
-        raise TooShort(
+        raise MouseAuthError(
             f"{vel.session_id}: need >= {3 * step_m} samples, have {len(v)}"
         )
     report = SufficiencyReport(
@@ -289,7 +283,7 @@ def aggregate_user_volume(reports: list[SufficiencyReport]) -> tuple[int, list[s
     """Sum per-session proper volumes; exhausted sessions contribute their
     full length and are flagged by session id."""
     if not reports:
-        raise EmptyInput("no sufficiency reports to aggregate")
+        raise MouseAuthError("no sufficiency reports to aggregate")
     total = 0
     flagged: list[str] = []
     for r in reports:

@@ -17,11 +17,12 @@ transform on consecutive uniform pairs.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import MouseAuthError
 from .kinematics import VelocitySequence
 
 _MASK = (1 << 64) - 1
@@ -69,16 +70,22 @@ class SplitMix64:
         return np.array(out[:n], dtype=float)
 
 
+# each kind's parameter names and their defaults
+KINDS = {
+    "gaussian_iid": {"mean": 0.0, "std": 1.0},
+    "ar1": {"phi": 0.5, "sigma": 1.0, "mean": 0.0},
+    "sine_plus_noise": {"amplitude": 1.0, "period": 100.0, "noise_std": 0.0, "mean": 0.0},
+}
+
+
 @dataclass(frozen=True)
 class SynthSpec:
-    """Specification of one synthetic velocity sequence.
+    """Specification of one synthetic velocity sequence, checked on creation.
 
-    kinds and their params:
-      gaussian_iid:    mean, std
-      ar1:             phi, sigma, mean (|phi| < 1; level added after the
-                       zero-mean recursion)
-      sine_plus_noise: amplitude, period, noise_std, mean
-    Speeds are clamped at zero after generation.
+    kind names an entry of KINDS, and params may set any of its parameters;
+    the others keep their defaults. ar1 needs |phi| < 1 and adds its mean
+    after the zero-mean recursion. Speeds are clamped at zero after
+    generation.
     """
 
     kind: str
@@ -86,55 +93,63 @@ class SynthSpec:
     length: int = 1000
     seed: int = 0
 
-    def validate(self):
+    def __post_init__(self):
+        # type() is int excludes bool
+        if type(self.length) is not int or type(self.seed) is not int:
+            raise MouseAuthError(
+                f"length and seed must be ints, got {self.length!r} and {self.seed!r}"
+            )
         if self.length < 1:
-            raise InvalidSpec("length must be >= 1")
-        p = self.params
+            raise MouseAuthError("length must be >= 1")
+        if self.kind not in KINDS:
+            raise MouseAuthError(f"unknown kind {self.kind!r}")
+        defaults = KINDS[self.kind]
+        if not isinstance(self.params, dict) or not set(self.params) <= set(defaults):
+            raise MouseAuthError(
+                f"{self.kind} params are among {list(defaults)}, got {self.params!r}"
+            )
+        p = {**defaults, **self.params}
+        # abs() compares an int of any size exactly, and inf and nan fail
+        if not all((type(v) is int or isinstance(v, float)) and abs(v) <= sys.float_info.max
+                   for v in p.values()):
+            raise MouseAuthError(f"params must be finite numbers, got {self.params!r}")
         if self.kind == "gaussian_iid":
-            if p.get("std", 1.0) <= 0:
-                raise InvalidSpec("std must be positive")
+            if p["std"] <= 0:
+                raise MouseAuthError("std must be positive")
         elif self.kind == "ar1":
-            if abs(p.get("phi", 0.0)) >= 1:
-                raise InvalidSpec("ar1 requires |phi| < 1")
-            if p.get("sigma", 1.0) <= 0:
-                raise InvalidSpec("sigma must be positive")
-        elif self.kind == "sine_plus_noise":
-            if p.get("amplitude", 1.0) <= 0 or p.get("period", 100.0) <= 0:
-                raise InvalidSpec("amplitude and period must be positive")
-            if p.get("noise_std", 0.0) < 0:
-                raise InvalidSpec("noise_std must be >= 0")
-        else:
-            raise InvalidSpec(f"unknown kind {self.kind!r}")
+            if abs(p["phi"]) >= 1:
+                raise MouseAuthError("ar1 requires |phi| < 1")
+            if p["sigma"] <= 0:
+                raise MouseAuthError("sigma must be positive")
+        else:  # sine_plus_noise
+            if p["amplitude"] <= 0 or p["period"] <= 0:
+                raise MouseAuthError("amplitude and period must be positive")
+            if p["noise_std"] < 0:
+                raise MouseAuthError("noise_std must be >= 0")
 
 
 def generate(
     spec: SynthSpec, user_id: str = "synth", session_id: str = "s0", dt: float = 0.01
 ) -> VelocitySequence:
     """Generate one synthetic speed sequence, deterministic given the seed."""
-    spec.validate()
     rng = SplitMix64(spec.seed)
-    p = spec.params
+    p = {**KINDS[spec.kind], **spec.params}
     n = spec.length
     if spec.kind == "gaussian_iid":
-        v = p.get("mean", 0.0) + p.get("std", 1.0) * rng.normals(n)
+        v = p["mean"] + p["std"] * rng.normals(n)
     elif spec.kind == "ar1":
-        phi = p.get("phi", 0.5)
-        sigma = p.get("sigma", 1.0)
-        noise = sigma * rng.normals(n)
+        phi, noise = p["phi"], p["sigma"] * rng.normals(n)
         x = []
         prev = 0.0  # stationary mean of the zero-mean recursion
         for e in noise.tolist():
             prev = phi * prev + e
             x.append(prev)
-        v = np.array(x) + p.get("mean", 0.0)
+        v = np.array(x) + p["mean"]
     else:  # sine_plus_noise
-        amp = p.get("amplitude", 1.0)
-        period = p.get("period", 100.0)
-        noise_std = p.get("noise_std", 0.0)
         t = np.arange(n, dtype=float)
-        v = p.get("mean", 0.0) + amp * np.sin(2.0 * np.pi * t / period)
-        if noise_std > 0:
-            v = v + noise_std * rng.normals(n)
+        v = p["mean"] + p["amplitude"] * np.sin(2.0 * np.pi * t / p["period"])
+        if p["noise_std"] > 0:
+            v = v + p["noise_std"] * rng.normals(n)
     return VelocitySequence(user_id, session_id, dt, np.maximum(v, 0.0))
 
 
@@ -146,7 +161,7 @@ def generate_user_pool(
     Users with an empty spec list are omitted (they yield no sessions).
     """
     if not specs:
-        raise InvalidSpec("at least one user required")
+        raise MouseAuthError("at least one user required")
     pool: dict[str, list[VelocitySequence]] = {}
     for user, user_specs in specs.items():
         if not user_specs:

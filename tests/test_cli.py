@@ -160,6 +160,10 @@ def test_malformed_config_file_exit_code(tmp_path, capsys, text):
     {"kernel_size": 4},  # even kernels cannot pad symmetrically
     {"conv_channels": 0},
     {"res_kernel": 2},
+    {"batch_size": 0},
+    {"pos_neg_ratio": 0},
+    {"train_frac": 1.5},
+    {"unseen_count": 0},
 ])
 def test_invalid_model_config_exit_code(tmp_path, capsys, values):
     # a valid corpus, so that only the model settings can fail
@@ -177,7 +181,7 @@ def test_eval_checkpoint_without_params_exit_code(tmp_path, capsys):
     code = main(["eval", "--legit-user", "u1", "--out", str(tmp_path / "out"),
                  str(ckpt), str(tmp_path / "data")])
     assert code == 1
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "ShapeMismatch"
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "MouseAuthError"
 
 
 def test_missing_input_exit_code(tmp_path, capsys):
@@ -343,6 +347,25 @@ def test_synth_command_round_trip(tmp_path, capsys):
     code = main(["sufficiency", "--user", "ua", "--out", str(tmp_path / "suf"),
                  "--step-m", "200", files[0]])
     assert code == 0
+
+
+@pytest.mark.parametrize("text", [
+    "[1]",  # not an object
+    "{}",  # no user
+    "{bad json",
+    '{"u": {"kind": "ar1"}}',  # a user's specs must be a list
+    '{"u": [1]}',
+    '{"u": [{"kind": "ar1", "bogus": 1}]}',
+    '{"u": [{"kind": "ar1", "length": "50"}]}',
+    '{"u": [{"kind": "nope"}]}',
+    '{"u": [{"kind": "ar1", "params": {"phi": 1.2}}]}',
+])
+def test_malformed_spec_file_exit_code(tmp_path, capsys, text):
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(text)
+    code = main(["synth", "--out", str(tmp_path / "corpus"), str(spec_file)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
 def test_parser_subcommands():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from mouseauth.errors import EmptySet, InsufficientUsers, SingleClass
+from mouseauth.errors import MouseAuthError
 from mouseauth.evaluation import (
     ScoredSet,
     blind_attack_eval,
@@ -70,7 +70,7 @@ def test_f1_hand_confusion_matrix():
 
 
 def test_f1_empty():
-    with pytest.raises(EmptySet):
+    with pytest.raises(MouseAuthError, match="empty score set"):
         f1_score(scored([], []), 0.5)
 
 
@@ -91,7 +91,7 @@ def test_auc_half():
 
 
 def test_auc_single_class():
-    with pytest.raises(SingleClass):
+    with pytest.raises(MouseAuthError, match="need at least one legitimate and one imposter sample"):
         roc_auc(scored([0.5, 0.6], [1, 1]))
 
 
@@ -183,7 +183,7 @@ def test_dsr_none_rejected():
 
 
 def test_dsr_empty():
-    with pytest.raises(EmptySet):
+    with pytest.raises(MouseAuthError, match="no attack scores"):
         dsr(np.array([]), 0.5)
 
 
@@ -239,8 +239,19 @@ def test_split_deterministic():
 
 def test_split_insufficient_users():
     users = make_users(n_users=2)
-    with pytest.raises(InsufficientUsers):
+    with pytest.raises(MouseAuthError, match="need >= 3 users, have 2"):
         build_splits(users, "u0", unseen_count=1)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"ratio": 0}, "pos_neg_ratio must be positive"),  # was a ZeroDivisionError
+    ({"ratio": -2.0}, "pos_neg_ratio must be positive"),
+    ({"train_frac": 1.5}, r"train_frac must be in \(0, 1\)"),  # no legitimate test MAU
+    ({"unseen_count": 0}, "unseen_count must be >= 1"),  # no unseen user, so no DSR
+])
+def test_split_rejects_settings_it_cannot_honour(settings, message):
+    with pytest.raises(MouseAuthError, match=message):
+        build_splits(make_users(), "u0", **settings)
 
 
 # ---------------------------------------------------------------------------

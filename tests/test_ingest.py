@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mouseauth.cli import PRESETS, main
-from mouseauth.errors import EmptySession, NoSessions, SchemaError
+from mouseauth.errors import EmptySession, MouseAuthError
 from mouseauth.ingest import ParseReport, SchemaMap, load_user, parse_session
 from mouseauth.synth import SynthSpec, generate, to_session_csv
 
@@ -58,12 +58,12 @@ def test_header_only_is_empty():
 
 
 def test_missing_column():
-    with pytest.raises(SchemaError):
+    with pytest.raises(MouseAuthError, match="s: missing column"):
         parse_session(b"t,x\n0,0\n", SCHEMA, "u", "s")
 
 
 def test_distinct_columns_required():
-    with pytest.raises(SchemaError):
+    with pytest.raises(MouseAuthError, match="columns must be distinct"):
         SchemaMap(timestamp_col="t", x_col="t", y_col="y")
 
 
@@ -148,13 +148,13 @@ def test_load_user_skips_empty_file(tmp_path):
 
 
 def test_load_user_no_files():
-    with pytest.raises(NoSessions):
+    with pytest.raises(MouseAuthError, match="u: no input files"):
         load_user([], SCHEMA, "u")
 
 
 def test_load_user_all_fail(tmp_path):
     (tmp_path / "empty.csv").write_text("t,x,y\n")
-    with pytest.raises(NoSessions):
+    with pytest.raises(MouseAuthError, match="u: all 1 files failed to parse"):
         load_user([tmp_path / "empty.csv"], SCHEMA, "u")
 
 

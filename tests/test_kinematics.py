@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mouseauth.errors import InvalidDt, TooShort
+from mouseauth.errors import MouseAuthError
 from mouseauth.ingest import Session
 from mouseauth.kinematics import displacements, velocity_sequence
 
@@ -30,9 +30,9 @@ def test_unit_steps():
 
 
 def test_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(MouseAuthError, match="s: need >= 2 events"):
         displacements(session_from_xy([(0, 0)]))
-    with pytest.raises(TooShort):
+    with pytest.raises(MouseAuthError, match="s: need >= 2 events"):
         velocity_sequence(session_from_xy([(0, 0)]), dt=1.0)
 
 
@@ -48,7 +48,7 @@ def test_velocity_scaling():
 
 
 def test_invalid_dt():
-    with pytest.raises(InvalidDt):
+    with pytest.raises(MouseAuthError, match="dt must be positive"):
         velocity_sequence(session_from_xy([(0, 0), (1, 1)]), dt=0.0)
 
 

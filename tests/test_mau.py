@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mouseauth.errors import OutOfRange, TooShort
+from mouseauth.errors import MouseAuthError
 from mouseauth.kinematics import VelocitySequence
 from mouseauth.mau import (
     apen,
@@ -70,7 +70,7 @@ def test_apen_noise_exceeds_sine():
 
 
 def test_apen_too_short():
-    with pytest.raises(TooShort):
+    with pytest.raises(MouseAuthError, match=r"apen needs length >= m \+ 2"):
         apen(np.array([1.0, 2.0, 3.0]), 2, 0.5)
 
 
@@ -106,11 +106,11 @@ def test_apen_profile_fallback_flag():
 
 def test_apen_profile_validation():
     vel = make_vel(np.ones(100))
-    with pytest.raises(OutOfRange):
+    with pytest.raises(MouseAuthError, match="candidates must be strictly increasing"):
         apen_profile(vel, candidates=[10, 10])
-    with pytest.raises(OutOfRange):
+    with pytest.raises(MouseAuthError, match="r_factor must be positive"):
         apen_profile(vel, candidates=[5, 10], r_factor=0.0)
-    with pytest.raises(TooShort):
+    with pytest.raises(MouseAuthError, match="capped length 50 < max candidate"):
         apen_profile(make_vel(np.ones(50)), candidates=[10, 60])
 
 
@@ -197,5 +197,5 @@ def test_segment_disjoint_prefix_property():
 
 
 def test_segment_invalid_length():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(MouseAuthError, match="MAU length must be >= 1"):
         segment(make_vel(np.arange(10.0)), 0)

@@ -3,11 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from mouseauth.errors import (
-    LabelOutOfRange,
-    ShapeMismatch,
-    SingleClassDataset,
-)
+from mouseauth.errors import MouseAuthError
 from mouseauth.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -45,7 +41,7 @@ def tiny_batch(n=4, seed=7):
 # config / init
 
 def test_even_kernel_rejected():
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MouseAuthError, match="kernel sizes must be odd"):
         ModelConfig(input_length=8, kernel_size=4)
 
 
@@ -97,7 +93,7 @@ def test_sequence_length_preserved():
 
 def test_forward_shape_mismatch():
     params = init_params(TINY)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MouseAuthError, match="batch must be"):
         forward(params, np.zeros((2, 9)), TINY)
     batch = tiny_batch()
     for bad in (
@@ -105,7 +101,7 @@ def test_forward_shape_mismatch():
         {k: v for k, v in params.items() if k != "gru_uz"},
         {**params, "extra": np.zeros(1)},
     ):
-        with pytest.raises(ShapeMismatch):
+        with pytest.raises(MouseAuthError, match="parameters do not match the config"):
             forward(bad, batch, TINY)
 
 
@@ -133,7 +129,7 @@ def test_cross_entropy_values():
 
 
 def test_cross_entropy_label_range():
-    with pytest.raises(LabelOutOfRange):
+    with pytest.raises(MouseAuthError, match="labels must be in"):
         cross_entropy(np.array([[0.5, 0.5]]), [2])
 
 
@@ -183,7 +179,7 @@ def test_duplicate_sample_gradient():
 def test_backward_label_count_mismatch():
     params = init_params(TINY)
     _, cache = forward(params, tiny_batch(2, seed=1), TINY)
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MouseAuthError, match="expected 2 labels for the cached batch"):
         backward(params, np.array([0, 1, 1]), cache, TINY)
 
 
@@ -248,7 +244,7 @@ def test_adam_defaults():
 def test_adam_shape_mismatch():
     params = {"w": np.zeros(3)}
     grads = {"w": np.zeros(4)}
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MouseAuthError, match="w: gradient shape"):
         adam_step(params, grads, AdamState.zeros_like(params), TrainConfig())
 
 
@@ -278,10 +274,17 @@ def test_train_separable_classes():
         assert b <= a + 1e-6
 
 
+@pytest.mark.parametrize("values", [{"batch_size": -3}, {"batch_size": 0}, {"epochs": 0}])
+def test_train_config_needs_a_step(values):
+    # batch_size=-3 ran no step and reported a loss of 0.0 for each epoch
+    with pytest.raises(MouseAuthError, match="batch_size/epochs must be >= 1"):
+        TrainConfig(**values)
+
+
 def test_train_single_class_rejected():
     X = np.zeros((10, 8))
     y = np.ones(10, dtype=int)
-    with pytest.raises(SingleClassDataset):
+    with pytest.raises(MouseAuthError, match="training data must contain both classes"):
         train(X, y, SEP_CFG, TrainConfig())
 
 
@@ -354,7 +357,7 @@ def test_checkpoint_config_keys_checked(tmp_path, edit):
     payload = json.loads(path.read_text())
     edit(payload["config"])
     path.write_text(json.dumps(payload))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MouseAuthError, match="checkpoint config does not match ModelConfig"):
         load_checkpoint(path)
 
 
@@ -365,5 +368,5 @@ def test_checkpoint_without_config_or_params(tmp_path, key):
     payload = json.loads(path.read_text())
     del payload[key]
     path.write_text(json.dumps(payload))
-    with pytest.raises(ShapeMismatch):
+    with pytest.raises(MouseAuthError, match='checkpoint needs a "config" and a "params" object'):
         load_checkpoint(path)

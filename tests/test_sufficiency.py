@@ -5,13 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mouseauth.errors import (
-    EmptyInput,
-    GridMismatch,
-    InvalidBandwidth,
-    TooFewSamples,
-    TooShort,
-)
+from mouseauth.errors import MouseAuthError
 from mouseauth.kinematics import VelocitySequence
 from mouseauth.sufficiency import (
     _prefix_kl,
@@ -54,7 +48,7 @@ def test_silverman_constant_floor():
 
 
 def test_silverman_too_few():
-    with pytest.raises(TooFewSamples):
+    with pytest.raises(MouseAuthError, match="bandwidth needs >= 2 samples"):
         silverman_bandwidth(np.array([1.0]))
 
 
@@ -93,11 +87,11 @@ def test_kde_tail_decay():
 
 def test_kde_errors():
     grid = np.linspace(0, 1, 4)
-    with pytest.raises(EmptyInput):
+    with pytest.raises(MouseAuthError, match="kde needs at least one sample"):
         kde(np.array([]), grid, 1.0)
-    with pytest.raises(InvalidBandwidth):
+    with pytest.raises(MouseAuthError, match="bandwidth must be positive"):
         kde(np.array([1.0]), grid, 0.0)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(MouseAuthError, match="grid must be strictly increasing"):
         kde(np.array([1.0]), np.array([1.0, 0.5]), 1.0)
 
 
@@ -160,7 +154,7 @@ def test_kl_grid_mismatch():
     g2 = np.linspace(0, 2, 16)
     p = kde(np.array([0.5]), g1, 0.2)
     q = kde(np.array([0.5]), g2, 0.2)
-    with pytest.raises(GridMismatch):
+    with pytest.raises(MouseAuthError, match="density estimates must share an identical grid"):
         kl_divergence(p, q)
 
 
@@ -184,7 +178,7 @@ def make_vel(v):
 
 def test_sufficiency_too_short():
     vel = make_vel(np.abs(gaussian_samples(500, mean=10, seed=2)))
-    with pytest.raises(TooShort):
+    with pytest.raises(MouseAuthError, match="need >= 600 samples, have 500"):
         sufficiency_point(vel, step_m=200)
 
 
@@ -268,9 +262,9 @@ def test_far_outlier_step_goes_to_the_judge():
 
 def test_sufficiency_validates_params():
     vel = make_vel(np.ones(1000))
-    with pytest.raises(ValueError):
+    with pytest.raises(MouseAuthError, match="step_m must be >= 2"):
         sufficiency_point(vel, step_m=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(MouseAuthError, match="eps1 and eps2 must be positive"):
         sufficiency_point(vel, step_m=200, eps1=-1.0)
 
 
@@ -297,7 +291,7 @@ def test_aggregate_exhausted_flagged():
 
 
 def test_aggregate_empty():
-    with pytest.raises(EmptyInput):
+    with pytest.raises(MouseAuthError, match="no sufficiency reports to aggregate"):
         aggregate_user_volume([])
 
 

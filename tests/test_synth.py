@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from mouseauth.errors import InvalidSpec
+from mouseauth.errors import MouseAuthError
 from mouseauth.ingest import SchemaMap, parse_session
 from mouseauth.kinematics import velocity_sequence
 from mouseauth.synth import (
@@ -22,6 +24,22 @@ def test_splitmix64_known_stream():
         0x6E789E6AA1B965F4,
         0x06C45D188009454F,
     ]
+
+
+@pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
+@pytest.mark.parametrize("n", [1, 7, 1001])
+def test_normals_are_box_muller_over_uniform_pairs(seed, n):
+    # normals mixes its uniforms as one uint64 array: it must give the
+    # stream that the scalar next_u64 gives, and end in the same state
+    fast, slow = SplitMix64(seed), SplitMix64(seed)
+    z = fast.normals(n)
+    want = []
+    while len(want) < n:
+        u1, u2 = slow.uniform(), slow.uniform()
+        radius = math.sqrt(-2.0 * math.log(u1))
+        want += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    assert z.tolist() == want[:n]
+    assert fast.state == slow.state
 
 
 def test_generate_deterministic():
@@ -63,14 +81,27 @@ def test_ar1_lag1_autocorrelation():
 
 
 def test_invalid_specs():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(MouseAuthError, match=r"ar1 requires \|phi\| < 1"):
         generate(SynthSpec("ar1", {"phi": 1.2}, 100, seed=0))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(MouseAuthError, match="std must be positive"):
         generate(SynthSpec("gaussian_iid", {"std": -1}, 100, seed=0))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(MouseAuthError, match="unknown kind 'nope'"):
         generate(SynthSpec("nope", {}, 100, seed=0))
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(MouseAuthError, match="length must be >= 1"):
         generate(SynthSpec("gaussian_iid", {}, 0, seed=0))
+    # a misspelt parameter would otherwise fall back to its default
+    for kind, params in [("ar1", {"phii": 0.99}), ("gaussian_iid", {"phi": 0.5}),
+                         ("sine_plus_noise", {"std": 1.0})]:
+        with pytest.raises(MouseAuthError, match=f"{kind} params are among"):
+            SynthSpec(kind, params, 100)
+    with pytest.raises(MouseAuthError, match="ar1 params are among"):
+        SynthSpec("ar1", [("phi", 0.5)], 100)
+    for value in [True, "0.5", None, float("nan"), float("inf"), 10**400]:
+        with pytest.raises(MouseAuthError, match="params must be finite numbers"):
+            SynthSpec("ar1", {"phi": value}, 100)
+    for length, seed in [("50", 0), (True, 0), (50.0, 0), (50, 1.5), (50, False)]:
+        with pytest.raises(MouseAuthError, match="length and seed must be ints"):
+            SynthSpec("ar1", {}, length, seed)
 
 
 def test_user_pool_counts():
@@ -105,7 +136,7 @@ def test_user_pool_disjoint_seeds_distinct():
 
 
 def test_user_pool_requires_users():
-    with pytest.raises(InvalidSpec):
+    with pytest.raises(MouseAuthError, match="at least one user required"):
         generate_user_pool({})
 
 
