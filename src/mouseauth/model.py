@@ -13,7 +13,7 @@ from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import MouseAuthError
 
@@ -38,10 +38,17 @@ class ModelConfig:
     standardize: bool = True
 
     def __post_init__(self):
+        sizes = ("input_length", "conv_channels", "kernel_size", "res_blocks",
+                 "res_kernel", "gru_hidden")
+        for name in sizes + ("seed",):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise MouseAuthError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.standardize, bool):
+            raise MouseAuthError(f"standardize must be true or false, got {self.standardize!r}")
         if self.kernel_size % 2 == 0 or self.res_kernel % 2 == 0:
             raise MouseAuthError("kernel sizes must be odd (symmetric padding)")
-        for name in ("input_length", "conv_channels", "kernel_size", "res_blocks",
-                     "res_kernel", "gru_hidden"):
+        for name in sizes:
             if getattr(self, name) < 1:
                 raise MouseAuthError(f"{name} must be >= 1")
 
@@ -54,8 +61,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise MouseAuthError("learning_rate must be positive")
+        # written so that NaN fails too
+        if not 0 < self.learning_rate < np.inf:
+            raise MouseAuthError("learning_rate must be positive and finite")
         if self.batch_size < 1 or self.epochs < 1:
             raise MouseAuthError("batch_size/epochs must be >= 1")
 
@@ -117,7 +125,10 @@ def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
     # a zero-filled buffer, not np.pad: its per-call overhead dominates at batch 1
     xp = np.zeros((B, C, L + 2 * pad))
     xp[:, :, pad : pad + L] = x
-    win = sliding_window_view(xp, K, axis=2).transpose(0, 2, 1, 3).reshape(B, L, C * K)
+    # win[b, l, c, k] = xp[b, c, l + k], as a view; the reshape copies it.
+    # sliding_window_view builds the same view, with more per-call overhead
+    s0, s1, s2 = xp.strides
+    win = as_strided(xp, (B, L, C, K), (s0, s2, s1, s2), writeable=False).reshape(B, L, C * K)
     y = (win @ w.reshape(O, C * K).T).transpose(0, 2, 1) + b[:, None]
     return y, win
 
@@ -141,8 +152,12 @@ def _conv1d_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     return dx
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
+def _sigmoid_inplace(x: np.ndarray):
+    """x <- 0.5 * (1 + tanh(x / 2)), the logistic function without overflow."""
+    x *= 0.5
+    np.tanh(x, out=x)
+    x += 1.0
+    x *= 0.5
 
 
 def standardize_batch(x: np.ndarray) -> np.ndarray:
@@ -183,23 +198,44 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     for i in range(config.res_blocks):
         y1_pre, win1 = _conv1d(h, params[f"res{i}_w1"], params[f"res{i}_b1"])
         y2, win2 = _conv1d(np.maximum(y1_pre, 0.0), params[f"res{i}_w2"], params[f"res{i}_b2"])
-        pre = y2 + h
+        pre = np.add(y2, h, out=y2)  # in place: y2 is kept only as pre
         cache["res"].append({"in": h, "win1": win1, "y1_pre": y1_pre, "win2": win2, "pre": pre})
         h = np.maximum(pre, 0.0)
     cache["conv_out"] = h
 
-    # gated recurrent scan over the L time steps of channel vectors; hidden[t]
-    # is the state before step t, and z, r, c are step t's gates
-    hidden, zs, rs, cs = [np.zeros((len(x), config.gru_hidden))], [], [], []
-    for t in range(h.shape[2]):
-        xt, hprev = h[:, :, t], hidden[-1]
-        zs.append(_sigmoid(xt @ params["gru_wz"] + hprev @ params["gru_uz"] + params["gru_bz"]))
-        rs.append(_sigmoid(xt @ params["gru_wr"] + hprev @ params["gru_ur"] + params["gru_br"]))
-        cs.append(np.tanh(
-            xt @ params["gru_wc"] + (rs[-1] * hprev) @ params["gru_uc"] + params["gru_bc"]
-        ))
-        hidden.append((1.0 - zs[-1]) * hprev + zs[-1] * cs[-1])
-    cache["gru"] = (hidden, zs, rs, cs)
+    # gated recurrent scan over the L time steps of channel vectors. The gate
+    # weights are stacked on a leading axis (z, r, c), so one matmul gives a
+    # step's three input projections and one its z and r recurrent terms.
+    # hidden[t] is the state before step t; zr[t] = (z, r) and c[t] are step
+    # t's gates
+    steps, B, H = h.shape[2], len(x), config.gru_hidden
+    # np.array, not np.stack: its per-call overhead shows at batch 1
+    w = np.array([params["gru_wz"], params["gru_wr"], params["gru_wc"]])
+    b = np.array([params["gru_bz"], params["gru_br"], params["gru_bc"]])[:, None]
+    u_zr = np.array([params["gru_uz"], params["gru_ur"]])
+    hidden = np.zeros((steps + 1, B, H))
+    zr, c = np.empty((steps, 2, B, H)), np.empty((steps, B, H))
+    # every step writes into these arrays and one projection buffer, so a
+    # large batch makes no per-step temporaries
+    proj = np.empty((3, B, H))
+    for t in range(steps):
+        hprev, zr_t, c_t, hnext = hidden[t], zr[t], c[t], hidden[t + 1]
+        np.matmul(h[:, :, t], w, out=proj)
+        proj += b
+        np.matmul(hprev, u_zr, out=zr_t)
+        zr_t += proj[:2]
+        _sigmoid_inplace(zr_t)
+        z, r = zr_t[0], zr_t[1]
+        np.multiply(r, hprev, out=hnext)  # scratch until the state update
+        np.matmul(hnext, params["gru_uc"], out=c_t)
+        c_t += proj[2]
+        np.tanh(c_t, out=c_t)
+        # hnext = (1 - z) * hprev + z * c, with the spent proj[0] as scratch
+        np.subtract(1.0, z, out=hnext)
+        hnext *= hprev
+        np.multiply(z, c_t, out=proj[0])
+        hnext += proj[0]
+    cache["gru"] = (hidden, zr, c)
 
     logits = hidden[-1] @ params["head_w"] + params["head_b"]
     logits -= logits.max(axis=1, keepdims=True)
@@ -235,32 +271,40 @@ def backward(
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
 
-    # gates are (steps, B, H); hidden has one more state, the initial zeros
-    hidden, z, r, c = (np.stack(seq) for seq in cache["gru"])
+    # hidden is (steps + 1, B, H), its first state the initial zeros; zr is
+    # (steps, 2, B, H) and c (steps, B, H)
+    hidden, zr, c = cache["gru"]
     hprev = hidden[:-1]
+    steps, _, H = c.shape
     grads = {"head_w": hidden[-1].T @ dlogits, "head_b": dlogits.sum(axis=0)}
     dh = dlogits @ params["head_w"].T
 
     # the scan carries only dh; each step's gate pre-activation gradients are
-    # kept and contracted with the gate inputs once, after the loop
-    dgate = {gate: np.empty_like(z) for gate in "zrc"}
-    for t in range(len(z) - 1, -1, -1):
-        dgate["c"][t] = dh * z[t] * (1.0 - c[t] * c[t])
-        dgate["z"][t] = dh * (c[t] - hprev[t]) * z[t] * (1.0 - z[t])
-        drh = dgate["c"][t] @ params["gru_uc"].T
-        dgate["r"][t] = drh * hprev[t] * r[t] * (1.0 - r[t])
-        dh = (dh * (1.0 - z[t]) + drh * r[t] + dgate["z"][t] @ params["gru_uz"].T
-              + dgate["r"][t] @ params["gru_ur"].T)
+    # kept, gates side by side in dgate[t] = (B, [z, r, c], H), and contracted
+    # with the gate inputs once, after the loop. One matmul against the
+    # stacked [uz^T; ur^T] carries dz and dr back together
+    dgate = np.empty((steps, B, 3, H))
+    u_zr_t = np.concatenate([params["gru_uz"].T, params["gru_ur"].T])
+    uc_t = params["gru_uc"].T
+    for t in range(steps - 1, -1, -1):
+        z, r, ct, hp, dg = zr[t, 0], zr[t, 1], c[t], hprev[t], dgate[t]
+        np.multiply(dh * z, 1.0 - ct * ct, out=dg[:, 2])
+        np.multiply(dh * (ct - hp) * z, 1.0 - z, out=dg[:, 0])
+        drh = dg[:, 2] @ uc_t
+        np.multiply(drh * hp * r, 1.0 - r, out=dg[:, 1])
+        dh = dh * (1.0 - z) + drh * r + dg[:, :2].reshape(B, 2 * H) @ u_zr_t
 
     xs = cache["conv_out"].transpose(2, 0, 1)  # (steps, B, C)
-    recurrent_in = {"z": hprev, "r": hprev, "c": r * hprev}
     steps_and_batch = ([0, 1], [0, 1])
-    dxs = 0.0
-    for gate in "zrc":
-        grads[f"gru_w{gate}"] = np.tensordot(xs, dgate[gate], axes=steps_and_batch)
-        grads[f"gru_u{gate}"] = np.tensordot(recurrent_in[gate], dgate[gate], axes=steps_and_batch)
-        grads[f"gru_b{gate}"] = dgate[gate].sum(axis=(0, 1))
-        dxs = dxs + dgate[gate] @ params[f"gru_w{gate}"].T
+    dw = np.tensordot(xs, dgate, axes=steps_and_batch)  # (C, 3, H)
+    du_zr = np.tensordot(hprev, dgate[:, :, :2], axes=steps_and_batch)  # (H, 2, H)
+    db = dgate.sum(axis=(0, 1))
+    for i, gate in enumerate("zrc"):
+        grads[f"gru_w{gate}"], grads[f"gru_b{gate}"] = dw[:, i], db[i]
+    grads["gru_uz"], grads["gru_ur"] = du_zr[:, 0], du_zr[:, 1]
+    grads["gru_uc"] = np.tensordot(zr[:, 1] * hprev, dgate[:, :, 2], axes=steps_and_batch)
+    w_t = np.concatenate([params["gru_wz"].T, params["gru_wr"].T, params["gru_wc"].T])
+    dxs = dgate.reshape(steps, B, 3 * H) @ w_t
 
     dout = dxs.transpose(1, 2, 0)
     for i in range(config.res_blocks - 1, -1, -1):

@@ -184,6 +184,22 @@ def test_eval_checkpoint_without_params_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "MouseAuthError"
 
 
+@pytest.mark.parametrize("edit", [{"kernel_size": "3"}, {"input_length": 30.0},
+                                  {"standardize": "yes"}])
+def test_eval_checkpoint_with_wrongly_typed_config_exit_code(tmp_path, capsys, edit):
+    ckpt = tmp_path / "model.json"
+    config = model.ModelConfig(input_length=30)
+    model.save_checkpoint(ckpt, model.init_params(config), config)
+    payload = json.loads(ckpt.read_text())
+    payload["config"].update(edit)
+    ckpt.write_text(json.dumps(payload))
+    code = main(["eval", "--legit-user", "u1", "--out", str(tmp_path / "out"),
+                 str(ckpt), str(tmp_path / "data")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "MouseAuthError" and next(iter(edit)) in record["message"]
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     code = main(["sufficiency", "--user", "u", "--out", str(tmp_path), "nope.csv"])
     assert code == 1

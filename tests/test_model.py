@@ -45,6 +45,30 @@ def test_even_kernel_rejected():
         ModelConfig(input_length=8, kernel_size=4)
 
 
+@pytest.mark.parametrize("values", [
+    {"kernel_size": "3"}, {"input_length": 30.0}, {"gru_hidden": None},
+    {"res_blocks": True}, {"seed": 0.5}, {"standardize": 1}, {"standardize": "yes"},
+])
+def test_model_config_types_checked(values):
+    name = next(iter(values))
+    with pytest.raises(MouseAuthError, match=f"{name} must be"):
+        ModelConfig(**{"input_length": 8, **values})
+
+
+def test_model_config_accepts_numpy_integers():
+    assert ModelConfig(input_length=np.int64(8)).input_length == 8
+
+
+def test_checkpoint_config_types_checked(tmp_path):
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_params(TINY), TINY)
+    payload = json.loads(path.read_text())
+    payload["config"]["kernel_size"] = "3"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MouseAuthError, match="kernel_size must be an integer"):
+        load_checkpoint(path)
+
+
 def test_init_deterministic():
     a = init_params(TINY)
     b = init_params(TINY)
@@ -183,6 +207,45 @@ def test_backward_label_count_mismatch():
         backward(params, np.array([0, 1, 1]), cache, TINY)
 
 
+def gru_by_gates(params, xs):
+    """Hidden states and class probabilities of the GRU and head, one gate at
+    a time: xs is (steps, B, C); returns (steps + 1, B, H) states, the first
+    all zeros, and (B, 2) probabilities."""
+    def sigmoid(v):
+        return 1.0 / (1.0 + np.exp(-v))
+
+    p = params
+    hidden = [np.zeros((xs.shape[1], p["gru_uz"].shape[0]))]
+    for x in xs:
+        h = hidden[-1]
+        z = sigmoid(x @ p["gru_wz"] + h @ p["gru_uz"] + p["gru_bz"])
+        r = sigmoid(x @ p["gru_wr"] + h @ p["gru_ur"] + p["gru_br"])
+        c = np.tanh(x @ p["gru_wc"] + (r * h) @ p["gru_uc"] + p["gru_bc"])
+        hidden.append((1.0 - z) * h + z * c)
+    logits = hidden[-1] @ p["head_w"] + p["head_b"]
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    return np.array(hidden), exp / exp.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("B", [1, 4])
+@pytest.mark.parametrize("L", [1, 8])
+def test_gru_scan_matches_gate_by_gate_reference(B, L):
+    config = ModelConfig(input_length=L, conv_channels=3, kernel_size=3, res_blocks=1,
+                         res_kernel=3, gru_hidden=5, seed=B * 10 + L)
+    params = init_params(config)
+    rng = np.random.default_rng(L)
+    for name in ("gru_bz", "gru_br", "gru_bc", "head_b"):  # nonzero biases
+        params[name] = rng.normal(size=params[name].shape)
+    probs, cache = forward(params, rng.normal(size=(B, L)), config)
+    hidden, ref_probs = gru_by_gates(params, cache["conv_out"].transpose(2, 0, 1))
+    assert np.max(np.abs(cache["gru"][0] - hidden)) <= 1e-12
+    assert np.max(np.abs(probs - ref_probs)) <= 1e-12
+
+
+def test_gradients_match_finite_differences_at_batch_one():
+    assert finite_difference_check(TINY, tiny_batch(1, seed=11), np.array([1])) < 1e-4
+
+
 def conv1d_by_taps(x, w, b):
     """y[b, o, l] = b[o] + sum over c, k of w[o, c, k] x[b, c, l + k - K//2],
     with x zero outside [0, L)."""
@@ -279,6 +342,13 @@ def test_train_config_needs_a_step(values):
     # batch_size=-3 ran no step and reported a loss of 0.0 for each epoch
     with pytest.raises(MouseAuthError, match="batch_size/epochs must be >= 1"):
         TrainConfig(**values)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+def test_train_config_needs_a_finite_positive_learning_rate(rate):
+    # a NaN rate passed every comparison and trained to NaN parameters
+    with pytest.raises(MouseAuthError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=rate)
 
 
 def test_train_single_class_rejected():
