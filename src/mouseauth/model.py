@@ -9,6 +9,7 @@ verified against finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -24,6 +25,12 @@ STD_FLOOR = 1e-8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
+# rows per forward call in predict_batch: a larger block grows memory, not speed
+PREDICT_BLOCK = 128
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -42,7 +49,7 @@ class ModelConfig:
                  "res_kernel", "gru_hidden")
         for name in sizes + ("seed",):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if not _is_integer(value):
                 raise MouseAuthError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.standardize, bool):
             raise MouseAuthError(f"standardize must be true or false, got {self.standardize!r}")
@@ -64,8 +71,11 @@ class TrainConfig:
         # written so that NaN fails too
         if not 0 < self.learning_rate < np.inf:
             raise MouseAuthError("learning_rate must be positive and finite")
-        if self.batch_size < 1 or self.epochs < 1:
-            raise MouseAuthError("batch_size/epochs must be >= 1")
+        for name in ("batch_size", "epochs"):
+            value = getattr(self, name)
+            # a float fails inside train and True trains at batch 1
+            if not _is_integer(value) or value < 1:
+                raise MouseAuthError(f"batch_size/epochs must be integers >= 1, got {name}={value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -113,23 +123,53 @@ def _check_shapes(params: dict[str, np.ndarray], config: ModelConfig):
 # ---------------------------------------------------------------------------
 # layers
 
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray):
+class _Workspace:
+    """Named flat buffers that forward writes its activations into.
+
+    A buffer is allocated when its name is first taken and reused by every
+    later take that fits, so forward over row blocks, largest first,
+    allocates once. A taken array is a C-ordered prefix of its buffer, valid
+    until the name is taken again. A conv input keeps the zeros of its pad
+    columns by never writing them: with rows on the leading axis, they sit
+    at the same offsets for any row count.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...], zeros: bool = False) -> np.ndarray:
+        size = math.prod(shape)
+        buf = self._buffers.get(name)
+        if buf is None or buf.size < size:
+            buf = self._buffers[name] = np.zeros(size) if zeros else np.empty(size)
+        return buf[:size].reshape(shape)
+
+
+def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, ws: _Workspace | None = None,
+            name: str = "conv"):
     """Length-preserving convolution of a (B, C, L) map by an (O, C, K) kernel.
 
-    Returns the (B, O, L) output and the (B, L, C*K) window matrix of the
-    zero-padded input, which backprop needs for the kernel gradient.
+    Returns the (B, O, L) output, a view of a (B, L, O) array, and the
+    (B, L, C*K) window matrix of the zero-padded input, which backprop
+    needs for the kernel gradient. Both are written into ws under name,
+    or into fresh arrays without one.
     """
     B, C, L = x.shape
     O, _, K = w.shape
     pad = K // 2
+    ws = ws or _Workspace()
     # a zero-filled buffer, not np.pad: its per-call overhead dominates at batch 1
-    xp = np.zeros((B, C, L + 2 * pad))
+    xp = ws.take(f"{name}.in", (B, C, L + 2 * pad), zeros=True)
     xp[:, :, pad : pad + L] = x
-    # win[b, l, c, k] = xp[b, c, l + k], as a view; the reshape copies it.
-    # sliding_window_view builds the same view, with more per-call overhead
+    # win[b, l, c, k] = xp[b, c, l + k], as a view copied into the window
+    # matrix. sliding_window_view builds the same view, with more per-call
+    # overhead
     s0, s1, s2 = xp.strides
-    win = as_strided(xp, (B, L, C, K), (s0, s2, s1, s2), writeable=False).reshape(B, L, C * K)
-    y = (win @ w.reshape(O, C * K).T).transpose(0, 2, 1) + b[:, None]
+    win = ws.take(f"{name}.win", (B, L, C * K))
+    np.copyto(win.reshape(B, L, C, K), as_strided(xp, (B, L, C, K), (s0, s2, s1, s2)))
+    y = np.matmul(win, w.reshape(O, C * K).T, out=ws.take(f"{name}.out", (B, L, O)))
+    y = y.transpose(0, 2, 1)
+    y += b[:, None]
     return y, win
 
 
@@ -174,67 +214,83 @@ def batch_from_maus(maus) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # forward / backward
 
-def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfig):
-    """Class probabilities plus the activation cache backprop needs.
-
-    batch is (B, input_length); rows are standardized here when the config
-    asks for it.
-    """
-    _check_shapes(params, config)
+def _as_batch(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
     batch = np.asarray(batch, dtype=float)
     if batch.ndim != 2 or batch.shape[1] != config.input_length:
         raise MouseAuthError(
             f"batch must be (B, {config.input_length}), got {batch.shape}"
         )
+    return batch
+
+
+def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfig,
+            *, workspace: _Workspace | None = None):
+    """Class probabilities plus the activation cache backprop needs.
+
+    batch is (B, input_length); rows are standardized here when the config
+    asks for it. Activations are written into fresh arrays, or into
+    workspace when one is given (predict_batch's blocks); the returned
+    cache then aliases it until the next call with the same workspace.
+    """
+    _check_shapes(params, config)
+    batch = _as_batch(batch, config)
+    ws = workspace or _Workspace()
     x = standardize_batch(batch) if config.standardize else batch
     cache: dict = {"x": x, "res": []}
+    B, L = x.shape
 
-    h, stem_win = _conv1d(x[:, None, :], params["stem_w"], params["stem_b"])
+    def relu(v, name):
+        # into a (B, L, C) buffer, the layout of the conv outputs
+        return np.maximum(v, 0.0, out=ws.take(name, (B, L, v.shape[1])).transpose(0, 2, 1))
+
+    h, stem_win = _conv1d(x[:, None, :], params["stem_w"], params["stem_b"], ws, "stem")
     cache["stem_win"] = stem_win
     cache["stem_pre"] = h
-    h = np.maximum(h, 0.0)
+    h = relu(h, "stem.relu")
     cache["stem_out"] = h
 
     for i in range(config.res_blocks):
-        y1_pre, win1 = _conv1d(h, params[f"res{i}_w1"], params[f"res{i}_b1"])
-        y2, win2 = _conv1d(np.maximum(y1_pre, 0.0), params[f"res{i}_w2"], params[f"res{i}_b2"])
+        y1_pre, win1 = _conv1d(h, params[f"res{i}_w1"], params[f"res{i}_b1"], ws, f"res{i}.1")
+        y2, win2 = _conv1d(relu(y1_pre, f"res{i}.1.relu"), params[f"res{i}_w2"],
+                           params[f"res{i}_b2"], ws, f"res{i}.2")
         pre = np.add(y2, h, out=y2)  # in place: y2 is kept only as pre
         cache["res"].append({"in": h, "win1": win1, "y1_pre": y1_pre, "win2": win2, "pre": pre})
-        h = np.maximum(pre, 0.0)
+        h = relu(pre, f"res{i}.relu")
     cache["conv_out"] = h
 
     # gated recurrent scan over the L time steps of channel vectors. The gate
-    # weights are stacked on a leading axis (z, r, c), so one matmul gives a
-    # step's three input projections and one its z and r recurrent terms.
-    # hidden[t] is the state before step t; zr[t] = (z, r) and c[t] are step
-    # t's gates
-    steps, B, H = h.shape[2], len(x), config.gru_hidden
+    # weights are stacked on a leading axis (z, r, c), so one matmul gives
+    # every step's three input projections, before the scan, and one a
+    # step's z and r recurrent terms. hidden[t] is the state before step t;
+    # zr[t] = (z, r) and c[t] are step t's gates
+    H = config.gru_hidden
     # np.array, not np.stack: its per-call overhead shows at batch 1
     w = np.array([params["gru_wz"], params["gru_wr"], params["gru_wc"]])
     b = np.array([params["gru_bz"], params["gru_br"], params["gru_bc"]])[:, None]
     u_zr = np.array([params["gru_uz"], params["gru_ur"]])
-    hidden = np.zeros((steps + 1, B, H))
-    zr, c = np.empty((steps, 2, B, H)), np.empty((steps, B, H))
-    # every step writes into these arrays and one projection buffer, so a
-    # large batch makes no per-step temporaries
-    proj = np.empty((3, B, H))
-    for t in range(steps):
-        hprev, zr_t, c_t, hnext = hidden[t], zr[t], c[t], hidden[t + 1]
-        np.matmul(h[:, :, t], w, out=proj)
-        proj += b
+    # proj[t] holds step t's (z, r, c) input projections, (3, B, H)
+    proj = np.matmul(h.transpose(2, 0, 1)[:, None], w, out=ws.take("gru.proj", (L, 3, B, H)))
+    proj += b
+    hidden = ws.take("gru.hidden", (L + 1, B, H))
+    hidden[0] = 0.0  # a reused buffer holds an earlier block's states
+    zr, c = ws.take("gru.zr", (L, 2, B, H)), ws.take("gru.c", (L, B, H))
+    # every step writes into these arrays, so a large batch makes no
+    # per-step temporaries
+    for t in range(L):
+        hprev, zr_t, c_t, hnext, proj_t = hidden[t], zr[t], c[t], hidden[t + 1], proj[t]
         np.matmul(hprev, u_zr, out=zr_t)
-        zr_t += proj[:2]
+        zr_t += proj_t[:2]
         _sigmoid_inplace(zr_t)
         z, r = zr_t[0], zr_t[1]
         np.multiply(r, hprev, out=hnext)  # scratch until the state update
         np.matmul(hnext, params["gru_uc"], out=c_t)
-        c_t += proj[2]
+        c_t += proj_t[2]
         np.tanh(c_t, out=c_t)
-        # hnext = (1 - z) * hprev + z * c, with the spent proj[0] as scratch
+        # hnext = (1 - z) * hprev + z * c, with the spent proj_t[0] as scratch
         np.subtract(1.0, z, out=hnext)
         hnext *= hprev
-        np.multiply(z, c_t, out=proj[0])
-        hnext += proj[0]
+        np.multiply(z, c_t, out=proj_t[0])
+        hnext += proj_t[0]
     cache["gru"] = (hidden, zr, c)
 
     logits = hidden[-1] @ params["head_w"] + params["head_b"]
@@ -409,8 +465,20 @@ def predict(params: dict[str, np.ndarray], mau, config: ModelConfig) -> float:
 def predict_batch(
     params: dict[str, np.ndarray], X: np.ndarray, config: ModelConfig
 ) -> np.ndarray:
-    probs, _ = forward(params, X, config)
-    return probs[:, 1]
+    """Class 1 probability of every row of X.
+
+    Rows go through forward in blocks of PREDICT_BLOCK over one workspace,
+    so memory does not grow with the rows. Each row's score is computed
+    from that row alone.
+    """
+    _check_shapes(params, config)
+    X = _as_batch(X, config)
+    ws = _Workspace()
+    scores = np.empty(len(X))
+    for start in range(0, len(X), PREDICT_BLOCK):
+        probs, _ = forward(params, X[start : start + PREDICT_BLOCK], config, workspace=ws)
+        scores[start : start + len(probs)] = probs[:, 1]
+    return scores
 
 
 # ---------------------------------------------------------------------------

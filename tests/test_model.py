@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from mouseauth.model import (
     ADAM_BETA2,
     ADAM_EPSILON,
     AdamState,
+    PREDICT_BLOCK,
     ModelConfig,
     TrainConfig,
     _conv1d,
@@ -337,10 +339,14 @@ def test_train_separable_classes():
         assert b <= a + 1e-6
 
 
-@pytest.mark.parametrize("values", [{"batch_size": -3}, {"batch_size": 0}, {"epochs": 0}])
+@pytest.mark.parametrize("values", [
+    {"batch_size": -3}, {"batch_size": 0}, {"epochs": 0},
+    {"batch_size": 8.0}, {"epochs": 1.5}, {"batch_size": True},
+])
 def test_train_config_needs_a_step(values):
-    # batch_size=-3 ran no step and reported a loss of 0.0 for each epoch
-    with pytest.raises(MouseAuthError, match="batch_size/epochs must be >= 1"):
+    # batch_size=-3 ran no step and reported a loss of 0.0 for each epoch; a
+    # float died inside train with a TypeError and True trained at batch 1
+    with pytest.raises(MouseAuthError, match="batch_size/epochs must be integers >= 1"):
         TrainConfig(**values)
 
 
@@ -381,6 +387,30 @@ def test_predict_pure_and_batch_consistent():
     assert single == [predict(params, X[i], TINY) for i in range(5)]
     batched = predict_batch(params, X, TINY)
     assert np.allclose(batched, single, atol=1e-12)
+    # around and across the block size, against one unblocked pass
+    for n in (0, 1, PREDICT_BLOCK - 1, PREDICT_BLOCK, PREDICT_BLOCK + 1, 718):
+        X = tiny_batch(n, seed=n)
+        batched = predict_batch(params, X, TINY)
+        assert batched.shape == (n,)
+        assert np.allclose(batched, forward(params, X, TINY)[0][:, 1], rtol=0, atol=1e-15), n
+        single = [predict(params, row, TINY) for row in X]
+        assert np.allclose(batched, single, rtol=0, atol=1e-12), n
+    with pytest.raises(MouseAuthError, match="batch must be"):
+        predict_batch(params, np.zeros((0, TINY.input_length + 1)), TINY)
+
+
+def test_predict_memory_does_not_grow_with_rows():
+    params = init_params(TINY)
+    peaks = []
+    for n in (1000, 20000):
+        X = tiny_batch(n, seed=1)
+        tracemalloc.start()
+        predict_batch(params, X, TINY)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[0] > PREDICT_BLOCK * TINY.input_length * 8  # one standardized block
+    # only the returned scores grow with the rows
+    assert peaks[1] < peaks[0] + 8 * (20000 - 1000) + 64 * 1024
 
 
 def test_batch_from_maus():
