@@ -1,7 +1,8 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
-Outputs are JSON reports (machine) plus CSV files (plot data), all stamped
-with a config hash and the seeds so reruns are reproducible. Exit codes:
+Outputs are JSON reports (machine) plus CSV files (plot data). Each
+command's summary is stamped with the config hash and the seed so reruns are
+reproducible, printed, and written to the output directory. Exit codes:
 0 success, 1 failure, 2 invalid config.
 """
 
@@ -76,28 +77,16 @@ class PipelineConfig:
             # abs() compares an int of any size exactly, and inf and nan fail
             if isinstance(default, float) and not abs(value) <= sys.float_info.max:
                 raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        checks = [
-            (self.dt > 0, "dt must be positive"),
-            (self.step_m >= 2, "step_m must be >= 2"),
-            (self.eps1 > 0 and self.eps2 > 0, "eps thresholds must be positive"),
-            (self.r_factor > 0, "r_factor must be positive"),
-            (self.slope_threshold > 0, "slope_threshold must be positive"),
-            (self.cap >= 3, "cap too small"),
-            (len(self.candidates) >= 2, "need at least two candidate lengths"),
-            (all(c >= 1 for c in self.candidates), "candidates must be >= 1"),
-            (
-                all(b > a for a, b in zip(self.candidates, self.candidates[1:])),
-                "candidates must be strictly increasing",
-            ),
-        ]
-        for ok, message in checks:
-            if not ok:
-                raise ConfigError(message)
+        if not self.dt > 0:
+            raise ConfigError("dt must be positive")
         try:
             self.schema_map()
         except (TypeError, MouseAuthError) as exc:  # a missing or unknown key, a bad value
             raise ConfigError(f"bad schema {self.schema!r}: {exc}") from exc
-        try:
+        try:  # each stage states its own rules
+            sufficiency.check_settings(self.step_m, self.eps1, self.eps2)
+            mau.check_profile_settings(self.candidates, self.r_factor, self.cap,
+                                       self.slope_threshold)
             self.model_config()
             self.train_config()
             evaluation.check_split_settings(self.pos_neg_ratio, self.unseen_count,
@@ -183,18 +172,6 @@ def load_config(args) -> PipelineConfig:
     return cfg
 
 
-def _out_dir(cfg: PipelineConfig) -> Path:
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def _stamp(cfg: PipelineConfig, payload: dict) -> dict:
-    payload["config_hash"] = cfg.config_hash()
-    payload["seed"] = cfg.seed
-    return payload
-
-
 def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
     sessions, reports = ingest.load_user(paths, cfg.schema_map(), user_id)
     vels = [kinematics.velocity_sequence(s, dt=cfg.dt) for s in sessions]
@@ -221,9 +198,10 @@ def _load_user_pool(
     return pool, parse_reports
 
 
-def cmd_sufficiency(args) -> int:
-    cfg = load_config(args)
-    out = _out_dir(cfg)
+# Each command runs its stage, writes its artifacts to out and returns its
+# summary's name and payload; main stamps, writes and prints the summary.
+
+def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     vels, parse_reports = _sessions_to_velocities(cfg, args.inputs, args.user)
     reports = []
     for vel in vels:
@@ -234,24 +212,16 @@ def cmd_sufficiency(args) -> int:
         (out / f"sufficiency_{report.session_id}.json").write_text(report.to_json())
         (out / f"kl_{report.session_id}.csv").write_text(report.trajectory_csv())
     total, flagged = sufficiency.aggregate_user_volume(reports)
-    summary = _stamp(
-        cfg,
-        {
-            "user": args.user,
-            "parse_reports": [dataclasses.asdict(r) for r in parse_reports],
-            "proper_volume": total,
-            "total_volume": int(sum(r.total_length for r in reports)),
-            "exhausted_sessions": flagged,
-        },
-    )
-    (out / f"sufficiency_{args.user}.json").write_text(json.dumps(summary, indent=2))
-    print(json.dumps(summary))
-    return 0
+    return f"sufficiency_{args.user}", {
+        "user": args.user,
+        "parse_reports": [dataclasses.asdict(r) for r in parse_reports],
+        "proper_volume": total,
+        "total_volume": int(sum(r.total_length for r in reports)),
+        "exhausted_sessions": flagged,
+    }
 
 
-def cmd_apen(args) -> int:
-    cfg = load_config(args)
-    out = _out_dir(cfg)
+def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     vels, _ = _sessions_to_velocities(cfg, args.inputs, args.user)
     selections = []
     for vel in vels:
@@ -265,12 +235,7 @@ def cmd_apen(args) -> int:
         selections.append(profile.selected_length)
         (out / f"apen_{vel.session_id}.json").write_text(profile.to_json())
         (out / f"apen_{vel.session_id}.csv").write_text(profile.profile_csv())
-    summary = _stamp(
-        cfg, {"user": args.user, "selected_lengths": selections}
-    )
-    (out / f"apen_{args.user}.json").write_text(json.dumps(summary, indent=2))
-    print(json.dumps(summary))
-    return 0
+    return f"apen_{args.user}", {"user": args.user, "selected_lengths": selections}
 
 
 def _split_from_pool(cfg: PipelineConfig, pool, legit_user):
@@ -288,9 +253,7 @@ def _split_from_pool(cfg: PipelineConfig, pool, legit_user):
     )
 
 
-def cmd_train(args) -> int:
-    cfg = load_config(args)
-    out = _out_dir(cfg)
+def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
     split = _split_from_pool(cfg, pool, args.legit_user)
     X, y = split.train_arrays()
@@ -300,24 +263,17 @@ def cmd_train(args) -> int:
     (out / f"loss_{args.legit_user}.csv").write_text(
         "epoch,loss\n" + "".join(f"{i},{l!r}\n" for i, l in enumerate(history))
     )
-    summary = _stamp(
-        cfg,
-        {
-            "legit_user": args.legit_user,
-            "checkpoint": str(checkpoint),
-            "train_size": len(y),
-            "final_loss": history[-1],
-            "unseen_users": split.unseen_users,
-            "parse_reports": parse_reports,
-        },
-    )
-    print(json.dumps(summary))
-    return 0
+    return f"train_{args.legit_user}", {
+        "legit_user": args.legit_user,
+        "checkpoint": str(checkpoint),
+        "train_size": len(y),
+        "final_loss": history[-1],
+        "unseen_users": split.unseen_users,
+        "parse_reports": parse_reports,
+    }
 
 
-def cmd_eval(args) -> int:
-    cfg = load_config(args)
-    out = _out_dir(cfg)
+def cmd_eval(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     params, mcfg = model.load_checkpoint(args.checkpoint)
     cfg.mau_length = mcfg.input_length
     pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
@@ -326,14 +282,10 @@ def cmd_eval(args) -> int:
     scored = evaluation.ScoredSet(model.predict_batch(params, X, mcfg), y)
     report = evaluation.report_scores(scored, split.unseen_mask)
     (out / f"roc_{args.legit_user}.csv").write_text(evaluation.roc_curve_csv(scored))
-    summary = _stamp(
-        cfg,
-        {"legit_user": args.legit_user, **dataclasses.asdict(report),
-         "parse_reports": parse_reports},
-    )
-    (out / f"eval_{args.legit_user}.json").write_text(json.dumps(summary, indent=2))
-    print(json.dumps(summary))
-    return 0
+    return f"eval_{args.legit_user}", {
+        "legit_user": args.legit_user, **dataclasses.asdict(report),
+        "parse_reports": parse_reports,
+    }
 
 
 def load_specs(path: str) -> dict[str, list[synth.SynthSpec]]:
@@ -352,9 +304,7 @@ def load_specs(path: str) -> dict[str, list[synth.SynthSpec]]:
         raise ConfigError(f"bad spec in {path}: {exc}") from exc
 
 
-def cmd_synth(args) -> int:
-    cfg = load_config(args)
-    out = _out_dir(cfg)
+def cmd_synth(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     pool = synth.generate_user_pool(load_specs(args.spec), dt=cfg.dt)
     written = []
     for user, vels in sorted(pool.items()):
@@ -364,9 +314,7 @@ def cmd_synth(args) -> int:
             path = user_dir / f"{vel.session_id}.csv"
             path.write_text(synth.to_session_csv(vel))
             written.append(str(path))
-    summary = _stamp(cfg, {"files": written})
-    print(json.dumps(summary))
-    return 0
+    return "synth", {"files": written}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -426,7 +374,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = load_config(args)
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        name, summary = args.func(cfg, out, args)
+        # stamped after the command has run: eval takes mau_length from its checkpoint
+        summary["config_hash"] = cfg.config_hash()
+        summary["seed"] = cfg.seed
+        (out / f"{name}.json").write_text(json.dumps(summary, indent=2))
+        print(json.dumps(summary))
+        return 0
     except ConfigError as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)

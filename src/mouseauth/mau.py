@@ -116,6 +116,27 @@ def apen(seq: np.ndarray, m: int, r: float) -> float:
     return _phi(counts, n, m) - _phi(counts, n, m + 1)
 
 
+def check_profile_settings(
+    candidates: list[int], r_factor: float, cap: int, slope_threshold: float
+):
+    """Raise MouseAuthError unless apen_profile can select a length with
+    these settings: two or more strictly increasing candidates >= 1 (a slope
+    needs two), a positive tolerance factor and slope threshold, and a cap
+    that keeps enough samples for the largest candidate."""
+    if len(candidates) < 2:
+        raise MouseAuthError("need at least two candidate lengths")
+    if any(c < 1 for c in candidates) or any(
+        b <= a for a, b in zip(candidates, candidates[1:])
+    ):
+        raise MouseAuthError("candidates must be strictly increasing and >= 1")
+    if not r_factor > 0:
+        raise MouseAuthError("r_factor must be positive")
+    if not slope_threshold > 0:
+        raise MouseAuthError("slope_threshold must be positive")
+    if cap < max(candidates) + 2:
+        raise MouseAuthError(f"cap too small: {cap} < max candidate + 2")
+
+
 def apen_profile(
     vel: VelocitySequence,
     candidates: tuple[int, ...] | list[int] = DEFAULT_CANDIDATES,
@@ -131,12 +152,7 @@ def apen_profile(
     largest candidate, flagged, when none qualifies.
     """
     candidates = [int(c) for c in candidates]
-    if any(c < 1 for c in candidates) or any(
-        b <= a for a, b in zip(candidates, candidates[1:])
-    ):
-        raise MouseAuthError("candidates must be strictly increasing and >= 1")
-    if r_factor <= 0:
-        raise MouseAuthError("r_factor must be positive")
+    check_profile_settings(candidates, r_factor, cap, slope_threshold)
     seq = np.asarray(vel.v, dtype=float)[:cap]
     if len(seq) < max(candidates) + 2:
         raise MouseAuthError(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
@@ -68,8 +69,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # written so that NaN fails too
-        if not 0 < self.learning_rate < np.inf:
+        # a bool or a string is not a rate; written so that NaN fails too
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 < rate < np.inf:
             raise MouseAuthError("learning_rate must be positive and finite")
         for name in ("batch_size", "epochs"):
             value = getattr(self, name)
@@ -432,10 +434,8 @@ def train(
     X is (N, input_length); y holds labels in {0, 1} with 1 = legitimate.
     Returns final params and the per-epoch mean training loss.
     """
-    X = np.asarray(X, dtype=float)
+    X = _as_batch(X, mcfg)
     y = np.asarray(y, dtype=int)
-    if X.ndim != 2 or X.shape[1] != mcfg.input_length:
-        raise MouseAuthError(f"X must be (N, {mcfg.input_length})")
     if len(set(y.tolist())) < 2:
         raise MouseAuthError("training data must contain both classes")
 

@@ -217,6 +217,15 @@ def _settled(kl_n: float, kl_next: float, eps1: float, eps2: float) -> bool:
     )
 
 
+def check_settings(step_m: int, eps1: float, eps2: float):
+    """Raise MouseAuthError unless sufficiency_point can scan with these
+    settings: a step of at least two samples and positive thresholds."""
+    if step_m < 2:
+        raise MouseAuthError("step_m must be >= 2")
+    if not (eps1 > 0 and eps2 > 0):
+        raise MouseAuthError("eps1 and eps2 must be positive")
+
+
 def sufficiency_point(
     vel: VelocitySequence,
     step_m: int = 200,
@@ -232,10 +241,7 @@ def sufficiency_point(
     and both steps of every pair the screened values do not settle. The rule
     is decided on the recorded values, so the trajectory obeys it.
     """
-    if step_m < 2:
-        raise MouseAuthError("step_m must be >= 2")
-    if eps1 <= 0 or eps2 <= 0:
-        raise MouseAuthError("eps1 and eps2 must be positive")
+    check_settings(step_m, eps1, eps2)
     v = np.asarray(vel.v, dtype=float)
     if len(v) < 3 * step_m:
         raise MouseAuthError(

@@ -164,15 +164,35 @@ def test_malformed_config_file_exit_code(tmp_path, capsys, text):
     {"pos_neg_ratio": 0},
     {"train_frac": 1.5},
     {"unseen_count": 0},
+    {"cap": 100},  # below the largest default candidate + 2; train ran on it
 ])
 def test_invalid_model_config_exit_code(tmp_path, capsys, values):
     # a valid corpus, so that only the model settings can fail
     data_root = write_corpus(tmp_path / "data", length=300)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(values))
-    code = main(["train", "--config", str(cfg_file), "--legit-user", "u1", str(data_root)])
+    code = main(["train", "--config", str(cfg_file), "--legit-user", "u1",
+                 "--out", str(tmp_path / "out"), str(data_root)])
     assert code == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", [
+    ["sufficiency", "--user", "u", "missing.csv"],
+    ["apen", "--user", "u", "missing.csv"],
+    ["train", "--legit-user", "u1", "missing"],
+    ["eval", "--legit-user", "u1", "missing.json", "missing"],
+    ["synth", "missing.json"],
+])
+def test_cap_below_largest_candidate_is_a_config_error(tmp_path, capsys, command):
+    # apen_profile's rule, checked at config load before any input is read
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"cap": 100}))
+    code = main([command[0], "--config", str(cfg_file), "--out", str(tmp_path / "out"),
+                 *command[1:]])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "cap too small" in record["message"]
 
 
 def test_eval_checkpoint_without_params_exit_code(tmp_path, capsys):
@@ -363,6 +383,37 @@ def test_synth_command_round_trip(tmp_path, capsys):
     code = main(["sufficiency", "--user", "ua", "--out", str(tmp_path / "suf"),
                  "--step-m", "200", files[0]])
     assert code == 0
+
+
+def test_every_command_writes_the_summary_it_prints(tmp_path, capsys):
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps({
+        user: [{"kind": "ar1", "params": {"phi": phi, "sigma": 1, "mean": 10},
+                "length": 600, "seed": 10 * k + j} for j in range(2)]
+        for k, (user, phi) in enumerate([("u1", 0.9), ("u2", 0.5), ("u3", 0.1)])
+    }))
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "step_m": 50, "candidates": [5, 10], "mau_length": 20, "epochs": 1,
+        "conv_channels": 2, "kernel_size": 3, "res_blocks": 1, "gru_hidden": 4,
+    }))
+    corpus, out = tmp_path / "corpus", tmp_path / "out"
+    sessions = [str(corpus / "u1" / f"{s}.csv") for s in ("s0", "s1")]
+    runs = [
+        (["synth", "--out", str(corpus), str(spec_file)], corpus / "synth.json"),
+        (["sufficiency", "--user", "u1", "--out", str(out), *sessions],
+         out / "sufficiency_u1.json"),
+        (["apen", "--user", "u1", "--out", str(out), *sessions], out / "apen_u1.json"),
+        (["train", "--legit-user", "u1", "--out", str(out), str(corpus)],
+         out / "train_u1.json"),
+        (["eval", "--legit-user", "u1", "--out", str(out), str(out / "model_u1.json"),
+          str(corpus)], out / "eval_u1.json"),
+    ]
+    for argv, summary_file in runs:
+        assert main([argv[0], "--config", str(cfg_file), *argv[1:]]) == 0
+        printed = json.loads(capsys.readouterr().out.strip())
+        assert json.loads(summary_file.read_text()) == printed
+        assert set(printed) >= {"config_hash", "seed"}
 
 
 @pytest.mark.parametrize("text", [

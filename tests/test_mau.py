@@ -112,6 +112,13 @@ def test_apen_profile_validation():
         apen_profile(vel, candidates=[5, 10], r_factor=0.0)
     with pytest.raises(MouseAuthError, match="capped length 50 < max candidate"):
         apen_profile(make_vel(np.ones(50)), candidates=[10, 60])
+    # a slope needs two candidates; these three were accepted
+    with pytest.raises(MouseAuthError, match="need at least two candidate lengths"):
+        apen_profile(vel, candidates=[10])
+    with pytest.raises(MouseAuthError, match="slope_threshold must be positive"):
+        apen_profile(vel, candidates=[5, 10], slope_threshold=0.0)
+    with pytest.raises(MouseAuthError, match="cap too small"):
+        apen_profile(vel, candidates=[5, 10], cap=11)
 
 
 def test_apen_profile_cap(monkeypatch):

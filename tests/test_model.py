@@ -350,9 +350,10 @@ def test_train_config_needs_a_step(values):
         TrainConfig(**values)
 
 
-@pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf")])
+@pytest.mark.parametrize("rate", [0.0, -1e-3, float("nan"), float("inf"), True, "0.1"])
 def test_train_config_needs_a_finite_positive_learning_rate(rate):
-    # a NaN rate passed every comparison and trained to NaN parameters
+    # a NaN rate passed every comparison and trained to NaN parameters, True
+    # trained at rate 1.0 and a string raised a bare TypeError
     with pytest.raises(MouseAuthError, match="learning_rate must be positive and finite"):
         TrainConfig(learning_rate=rate)
 
