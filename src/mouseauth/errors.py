@@ -3,8 +3,13 @@
 The command line exits 2 on a ConfigError and 1 on any other MouseAuthError,
 and ingest.load_user skips a file that raises EmptySession. Every failure
 that no caller tells apart raises MouseAuthError itself; its message says
-what went wrong.
+what went wrong. The two value tests below are shared by the stages that
+check their own settings.
 """
+
+import numbers
+
+import numpy as np
 
 
 class MouseAuthError(Exception):
@@ -17,3 +22,14 @@ class ConfigError(MouseAuthError):
 
 class EmptySession(MouseAuthError):
     """No valid rows survived parsing."""
+
+
+def is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool: True is not a size."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def is_positive_finite(value) -> bool:
+    """A real number, not a bool, in (0, inf); written so that NaN fails."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and 0 < value < np.inf)

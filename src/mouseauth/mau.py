@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import MouseAuthError
+from .errors import MouseAuthError, is_integer, is_positive_finite
 from .kinematics import VelocitySequence
 
 SLOPE_THRESHOLD = 1e-4
@@ -108,8 +108,10 @@ def apen(seq: np.ndarray, m: int, r: float) -> float:
     which is exactly zero on constant sequences)."""
     seq = np.asarray(seq, dtype=float)
     n = len(seq)
-    if m < 1 or r <= 0:
-        raise MouseAuthError("need m >= 1 and r > 0")
+    if not is_integer(m) or m < 1:
+        raise MouseAuthError(f"m must be an integer >= 1, got {m!r}")
+    if not is_positive_finite(r):
+        raise MouseAuthError(f"r must be positive and finite, got {r!r}")
     if n < m + 2:
         raise MouseAuthError(f"apen needs length >= m + 2, got {n} with m={m}")
     counts = _match_counts_by_length(seq, m + 1, r)
@@ -120,19 +122,24 @@ def check_profile_settings(
     candidates: list[int], r_factor: float, cap: int, slope_threshold: float
 ):
     """Raise MouseAuthError unless apen_profile can select a length with
-    these settings: two or more strictly increasing candidates >= 1 (a slope
-    needs two), a positive tolerance factor and slope threshold, and a cap
-    that keeps enough samples for the largest candidate."""
+    these settings: two or more strictly increasing integer candidates >= 1
+    (a slope needs two), a positive finite tolerance factor, a positive slope
+    threshold, and an integer cap that keeps enough samples for the largest
+    candidate."""
     if len(candidates) < 2:
         raise MouseAuthError("need at least two candidate lengths")
+    if not all(is_integer(c) for c in candidates):
+        raise MouseAuthError(f"candidates must be integers, got {list(candidates)!r}")
     if any(c < 1 for c in candidates) or any(
         b <= a for a, b in zip(candidates, candidates[1:])
     ):
         raise MouseAuthError("candidates must be strictly increasing and >= 1")
-    if not r_factor > 0:
-        raise MouseAuthError("r_factor must be positive")
+    if not is_positive_finite(r_factor):
+        raise MouseAuthError(f"r_factor must be positive and finite, got {r_factor!r}")
     if not slope_threshold > 0:
         raise MouseAuthError("slope_threshold must be positive")
+    if not is_integer(cap):
+        raise MouseAuthError(f"cap must be an integer, got {cap!r}")
     if cap < max(candidates) + 2:
         raise MouseAuthError(f"cap too small: {cap} < max candidate + 2")
 
@@ -151,12 +158,17 @@ def apen_profile(
     incoming slope magnitude is at or below the threshold; falls back to the
     largest candidate, flagged, when none qualifies.
     """
-    candidates = [int(c) for c in candidates]
     check_profile_settings(candidates, r_factor, cap, slope_threshold)
+    candidates = [int(c) for c in candidates]  # numpy integers do not serialize
     seq = np.asarray(vel.v, dtype=float)[:cap]
     if len(seq) < max(candidates) + 2:
         raise MouseAuthError(
             f"{vel.session_id}: capped length {len(seq)} < max candidate + 2"
+        )
+    # a NaN would make sigma NaN and compare as "not close" to every sample
+    if not np.all(np.isfinite(seq)):
+        raise MouseAuthError(
+            f"{vel.session_id}: non-finite speed among the first {len(seq)} samples"
         )
     sigma = float(seq.std(ddof=1))
     r = r_factor * sigma if sigma > 0 else r_factor * 1e-12
@@ -190,8 +202,8 @@ def segment(vel: VelocitySequence, length: int) -> list[Mau]:
     Windows do not overlap so train/test splits built from them cannot leak
     shared samples.
     """
-    if length < 1:
-        raise MouseAuthError("MAU length must be >= 1")
+    if not is_integer(length) or length < 1:
+        raise MouseAuthError(f"MAU length must be >= 1 and an integer, got {length!r}")
     v = np.asarray(vel.v, dtype=float)
     return [
         Mau(

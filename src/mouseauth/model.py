@@ -10,14 +10,12 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass, asdict, fields
 from pathlib import Path
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
-from .errors import MouseAuthError
+from .errors import MouseAuthError, is_integer, is_positive_finite
 
 CHECKPOINT_VERSION = 1
 PROB_FLOOR = 1e-12
@@ -28,10 +26,6 @@ ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 # rows per forward call in predict_batch: a larger block grows memory, not speed
 PREDICT_BLOCK = 128
-
-
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -50,7 +44,7 @@ class ModelConfig:
                  "res_kernel", "gru_hidden")
         for name in sizes + ("seed",):
             value = getattr(self, name)
-            if not _is_integer(value):
+            if not is_integer(value):
                 raise MouseAuthError(f"{name} must be an integer, got {value!r}")
         if not isinstance(self.standardize, bool):
             raise MouseAuthError(f"standardize must be true or false, got {self.standardize!r}")
@@ -69,14 +63,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # a bool or a string is not a rate; written so that NaN fails too
-        rate = self.learning_rate
-        if isinstance(rate, bool) or not isinstance(rate, numbers.Real) or not 0 < rate < np.inf:
+        if not is_positive_finite(self.learning_rate):
             raise MouseAuthError("learning_rate must be positive and finite")
         for name in ("batch_size", "epochs"):
             value = getattr(self, name)
             # a float fails inside train and True trains at batch 1
-            if not _is_integer(value) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise MouseAuthError(f"batch_size/epochs must be integers >= 1, got {name}={value!r}")
 
 
@@ -131,9 +123,9 @@ class _Workspace:
     A buffer is allocated when its name is first taken and reused by every
     later take that fits, so forward over row blocks, largest first,
     allocates once. A taken array is a C-ordered prefix of its buffer, valid
-    until the name is taken again. A conv input keeps the zeros of its pad
-    columns by never writing them: with rows on the leading axis, they sit
-    at the same offsets for any row count.
+    until the name is taken again. A conv strip keeps the zeros of its pad
+    rows by never writing them: they sit at the same offsets for any batch
+    size.
     """
 
     def __init__(self):
@@ -147,66 +139,82 @@ class _Workspace:
         return buf[:size].reshape(shape)
 
 
-def _conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray, ws: _Workspace | None = None,
-            name: str = "conv"):
-    """Length-preserving convolution of a (B, C, L) map by an (O, C, K) kernel.
+# A conv layer's (B, C, L) input map is kept channels-last in one strip of
+# B * S rows of C values, S = L + 2 * pad and pad = K // 2: row b * S + pad + l
+# holds x[b, :, l], and the pad rows around each window hold zeros. Output
+# row b * S + l (l < L) of a layer is y[b, :, l]; the rows between windows
+# straddle two of them and hold no output.
 
-    Returns the (B, O, L) output, a view of a (B, L, O) array, and the
-    (B, L, C*K) window matrix of the zero-padded input, which backprop
-    needs for the kernel gradient. Both are written into ws under name,
-    or into fresh arrays without one.
+def _rows(a: np.ndarray, B: int, L: int, pad: int, first: int = 0) -> np.ndarray:
+    """The (B, L, channels) view of rows b * S + first + l of a (B * S,
+    channels) array: a map in its strip (first = pad) or a conv's output
+    rows (first = 0)."""
+    return a.reshape(B, L + 2 * pad, a.shape[1])[:, first : first + L]
+
+
+def _conv(strip: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+          ws: _Workspace | None = None, name: str = "conv"):
+    """Length-preserving convolution of a strip by an (O, C, K) kernel.
+
+    Row i of the (N, K * C) window matrix, N = B * S - 2 * pad, is the K * C
+    contiguous values of strip rows i .. i + K - 1, so the N output rows are
+    one GEMM. Returns the (B * S, O) output, its last 2 * pad rows unwritten,
+    and the window matrix, which backprop needs for the kernel gradient. Both
+    are written into ws under name, or into fresh arrays without one.
     """
-    B, C, L = x.shape
-    O, _, K = w.shape
-    pad = K // 2
+    O, C, K = w.shape
+    rows = len(strip)
+    n = max(rows - (K - 1), 0)  # an empty batch has no windows
     ws = ws or _Workspace()
-    # a zero-filled buffer, not np.pad: its per-call overhead dominates at batch 1
-    xp = ws.take(f"{name}.in", (B, C, L + 2 * pad), zeros=True)
-    xp[:, :, pad : pad + L] = x
-    # win[b, l, c, k] = xp[b, c, l + k], as a view copied into the window
-    # matrix. sliding_window_view builds the same view, with more per-call
-    # overhead
-    s0, s1, s2 = xp.strides
-    win = ws.take(f"{name}.win", (B, L, C * K))
-    np.copyto(win.reshape(B, L, C, K), as_strided(xp, (B, L, C, K), (s0, s2, s1, s2)))
-    y = np.matmul(win, w.reshape(O, C * K).T, out=ws.take(f"{name}.out", (B, L, O)))
-    y = y.transpose(0, 2, 1)
-    y += b[:, None]
+    # overlapping rows of the strip, viewed in place: as_strided builds the
+    # same view with more per-call overhead
+    win = ws.take(f"{name}.win", (n, K * C))
+    np.copyto(win, np.ndarray((n, K * C), buffer=strip, strides=strip.strides))
+    y = ws.take(f"{name}.out", (rows, O))
+    np.matmul(win, w.transpose(2, 1, 0).reshape(K * C, O), out=y[:n])
+    if b is not None:
+        y[:n] += b
     return y, win
 
 
-def _conv1d_backward(dy: np.ndarray, win: np.ndarray, w: np.ndarray):
-    """Kernel and bias gradients of _conv1d, given the output gradient and
-    the window matrix of its forward call."""
-    dw = np.tensordot(dy, win, axes=([0, 2], [0, 1])).reshape(w.shape)
-    return dw, dy.sum(axis=(0, 2))
+def _conv_grads(dy: np.ndarray, win: np.ndarray, w: np.ndarray):
+    """Kernel and bias gradients of _conv, given the output gradient as a
+    strip, its pad rows zero, and the window matrix of the forward call.
+
+    Output row i is strip row i + pad, so the rows that straddle two windows
+    meet pad rows and add nothing to the one GEMM.
+    """
+    O, C, K = w.shape
+    pad = K // 2
+    dw = win.T @ dy[pad : pad + len(win)]
+    # the bias gradient sums the rows, as a GEMV: sum(axis=0) over a few
+    # channels costs several times more
+    return dw.reshape(K, C, O).transpose(2, 1, 0), np.ones(len(dy)) @ dy
 
 
-def _conv1d_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Input gradient of _conv1d, given the output gradient.
+def _conv_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Input gradient of _conv, given the output gradient as a strip with
+    zero pad rows; rows as in _conv's output.
 
     With K odd and symmetric zero padding, <conv(x, w) - b, dy> =
     <x, conv(dy, w')> for w'[c, o, k] = w[o, c, K-1-k], so it is the same
     convolution run with the kernel flipped along k and its channel axes
     swapped.
     """
-    dx, _ = _conv1d(dy, w[:, :, ::-1].transpose(1, 0, 2), np.zeros(w.shape[1]))
+    dx, _ = _conv(dy, w[:, :, ::-1].transpose(1, 0, 2))
     return dx
 
 
-def _sigmoid_inplace(x: np.ndarray):
-    """x <- 0.5 * (1 + tanh(x / 2)), the logistic function without overflow."""
-    x *= 0.5
-    np.tanh(x, out=x)
-    x += 1.0
-    x *= 0.5
-
-
 def standardize_batch(x: np.ndarray) -> np.ndarray:
-    """Per-window standardization; std floored so constant windows map to 0."""
-    mean = x.mean(axis=1, keepdims=True)
-    std = np.maximum(x.std(axis=1, keepdims=True), STD_FLOOR)
-    return (x - mean) / std
+    """Per-window standardization; std floored so constant windows map to 0.
+
+    These are np.std's own steps, sharing the centred windows, so the values
+    are the same.
+    """
+    centred = x - x.mean(axis=1, keepdims=True)
+    std = np.sqrt((centred * centred).sum(axis=1, keepdims=True) / x.shape[1])
+    centred /= np.maximum(std, STD_FLOOR)
+    return centred
 
 
 def batch_from_maus(maus) -> np.ndarray:
@@ -232,70 +240,99 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     batch is (B, input_length); rows are standardized here when the config
     asks for it. Activations are written into fresh arrays, or into
     workspace when one is given (predict_batch's blocks); the returned
-    cache then aliases it until the next call with the same workspace.
+    cache then aliases it until the next call with the same workspace. The
+    cache's conv maps are (B, C, L) views.
     """
     _check_shapes(params, config)
     batch = _as_batch(batch, config)
     ws = workspace or _Workspace()
     x = standardize_batch(batch) if config.standardize else batch
-    cache: dict = {"x": x, "res": []}
     B, L = x.shape
+    C, H = config.conv_channels, config.gru_hidden
+    stem_pad, pad = config.kernel_size // 2, config.res_kernel // 2
 
-    def relu(v, name):
-        # into a (B, L, C) buffer, the layout of the conv outputs
-        return np.maximum(v, 0.0, out=ws.take(name, (B, L, v.shape[1])).transpose(0, 2, 1))
+    def strip(name, pad, channels):
+        """A zero-padded strip and its (B, L, channels) view of the map."""
+        s = ws.take(name, (B * (L + 2 * pad), channels), zeros=True)
+        return s, _rows(s, B, L, pad, pad)
 
-    h, stem_win = _conv1d(x[:, None, :], params["stem_w"], params["stem_b"], ws, "stem")
-    cache["stem_win"] = stem_win
-    cache["stem_pre"] = h
-    h = relu(h, "stem.relu")
-    cache["stem_out"] = h
+    x_strip, x_map = strip("stem.in", stem_pad, 1)
+    x_map[:, :, 0] = x
+    y, stem_win = _conv(x_strip, params["stem_w"], params["stem_b"], ws, "stem")
+    stem_pre = _rows(y, B, L, stem_pad)
+    h_strip, h = strip("res0.in", pad, C)
+    np.maximum(stem_pre, 0.0, out=h)
+    cache: dict = {"x": x, "stem_win": stem_win, "stem_pre": stem_pre.transpose(0, 2, 1),
+                   "stem_out": h.transpose(0, 2, 1), "res": []}
 
+    # each ReLU writes into the next conv's strip, and the last one into the
+    # GRU's (L, C + 1, B) input, whose last row holds ones for the biases
+    gru_in = ws.take("gru.in", (L, C + 1, B))
     for i in range(config.res_blocks):
-        y1_pre, win1 = _conv1d(h, params[f"res{i}_w1"], params[f"res{i}_b1"], ws, f"res{i}.1")
-        y2, win2 = _conv1d(relu(y1_pre, f"res{i}.1.relu"), params[f"res{i}_w2"],
-                           params[f"res{i}_b2"], ws, f"res{i}.2")
-        pre = np.add(y2, h, out=y2)  # in place: y2 is kept only as pre
-        cache["res"].append({"in": h, "win1": win1, "y1_pre": y1_pre, "win2": win2, "pre": pre})
-        h = relu(pre, f"res{i}.relu")
-    cache["conv_out"] = h
+        y1, win1 = _conv(h_strip, params[f"res{i}_w1"], params[f"res{i}_b1"], ws, f"res{i}.1")
+        y1_pre = _rows(y1, B, L, pad)
+        mid_strip, mid = strip(f"res{i}.mid", pad, C)
+        np.maximum(y1_pre, 0.0, out=mid)
+        y2, win2 = _conv(mid_strip, params[f"res{i}_w2"], params[f"res{i}_b2"], ws, f"res{i}.2")
+        n = len(win2)
+        y2[:n] += h_strip[pad : pad + n]  # the skip: output row r is strip row r + pad
+        pre = _rows(y2, B, L, pad)
+        cache["res"].append({"in": h.transpose(0, 2, 1), "win1": win1,
+                             "y1_pre": y1_pre.transpose(0, 2, 1), "win2": win2,
+                             "pre": pre.transpose(0, 2, 1)})
+        if i + 1 < config.res_blocks:
+            h_strip, h = strip(f"res{i + 1}.in", pad, C)
+        else:
+            h = gru_in[:, :C].transpose(2, 0, 1)
+        np.maximum(pre, 0.0, out=h)
+    cache["conv_out"] = h.transpose(0, 2, 1)
 
-    # gated recurrent scan over the L time steps of channel vectors. The gate
-    # weights are stacked on a leading axis (z, r, c), so one matmul gives
-    # every step's three input projections, before the scan, and one a
-    # step's z and r recurrent terms. hidden[t] is the state before step t;
-    # zr[t] = (z, r) and c[t] are step t's gates
-    H = config.gru_hidden
-    # np.array, not np.stack: its per-call overhead shows at batch 1
-    w = np.array([params["gru_wz"], params["gru_wr"], params["gru_wc"]])
-    b = np.array([params["gru_bz"], params["gru_br"], params["gru_bc"]])[:, None]
-    u_zr = np.array([params["gru_uz"], params["gru_ur"]])
-    # proj[t] holds step t's (z, r, c) input projections, (3, B, H)
-    proj = np.matmul(h.transpose(2, 0, 1)[:, None], w, out=ws.take("gru.proj", (L, 3, B, H)))
-    proj += b
-    hidden = ws.take("gru.hidden", (L + 1, B, H))
+    # gated recurrent scan over the L time steps of channel vectors, feature
+    # major: step t's input, state and gates are (features, B) blocks, so
+    # every slice the scan takes is contiguous. The gate weights are stacked
+    # (z, r, c) over their biases, which meet the input's row of ones, so one
+    # matmul gives every step's input projections, biases added, before the
+    # scan, and one dot a step's z and r recurrent terms. sigmoid(a) =
+    # (1 + tanh(a / 2)) / 2, and halving the z and r weights and biases once
+    # is exact, so the scan takes tanh of its sums directly. hidden[t] is the
+    # state before step t; zr[t] = (z, r), c[t] and rh[t] = r * hidden[t] are
+    # step t's gates
+    H2 = 2 * H
+    w = np.concatenate([np.vstack([params[f"gru_w{g}"], params[f"gru_b{g}"]]) for g in "zrc"],
+                       axis=1).T
+    w[:H2] *= 0.5
+    u_zr = np.concatenate([params["gru_uz"], params["gru_ur"]], axis=1).T
+    u_zr *= 0.5
+    uc = params["gru_uc"].T
+    gru_in[:, C] = 1.0
+    proj = np.matmul(w, gru_in, out=ws.take("gru.proj", (L, 3 * H, B)))
+    hidden = ws.take("gru.hidden", (L + 1, H, B))
     hidden[0] = 0.0  # a reused buffer holds an earlier block's states
-    zr, c = ws.take("gru.zr", (L, 2, B, H)), ws.take("gru.c", (L, B, H))
+    zr = ws.take("gru.zr", (L, H2, B))
+    c, rh = ws.take("gru.c", (L, H, B)), ws.take("gru.rh", (L, H, B))
     # every step writes into these arrays, so a large batch makes no
     # per-step temporaries
-    for t in range(L):
-        hprev, zr_t, c_t, hnext, proj_t = hidden[t], zr[t], c[t], hidden[t + 1], proj[t]
-        np.matmul(hprev, u_zr, out=zr_t)
-        zr_t += proj_t[:2]
-        _sigmoid_inplace(zr_t)
-        z, r = zr_t[0], zr_t[1]
-        np.multiply(r, hprev, out=hnext)  # scratch until the state update
-        np.matmul(hnext, params["gru_uc"], out=c_t)
-        c_t += proj_t[2]
+    for hprev, hnext, zr_t, z, r, c_t, rh_t, proj_zr, proj_c in zip(
+        hidden[:-1], hidden[1:], zr, zr[:, :H], zr[:, H:], c, rh, proj[:, :H2], proj[:, H2:],
+    ):
+        np.dot(u_zr, hprev, out=zr_t)
+        zr_t += proj_zr
+        np.tanh(zr_t, out=zr_t)
+        zr_t += 1.0
+        zr_t *= 0.5
+        np.multiply(r, hprev, out=rh_t)
+        np.dot(uc, rh_t, out=c_t)
+        c_t += proj_c
         np.tanh(c_t, out=c_t)
-        # hnext = (1 - z) * hprev + z * c, with the spent proj_t[0] as scratch
-        np.subtract(1.0, z, out=hnext)
-        hnext *= hprev
-        np.multiply(z, c_t, out=proj_t[0])
-        hnext += proj_t[0]
-    cache["gru"] = (hidden, zr, c)
+        # hnext = (1 - z) * hprev + z * c
+        np.subtract(c_t, hprev, out=hnext)
+        hnext *= z
+        hnext += hprev
+    # hidden as (L + 1, B, H); the gates stay feature major for backward
+    cache["gru"] = (hidden.transpose(0, 2, 1), zr, c, rh)
+    cache["gru_in"] = gru_in
 
-    logits = hidden[-1] @ params["head_w"] + params["head_b"]
+    logits = hidden[-1].T @ params["head_w"] + params["head_b"]
     logits -= logits.max(axis=1, keepdims=True)
     exp = np.exp(logits)
     probs = exp / exp.sum(axis=1, keepdims=True)
@@ -329,56 +366,82 @@ def backward(
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
 
-    # hidden is (steps + 1, B, H), its first state the initial zeros; zr is
-    # (steps, 2, B, H) and c (steps, B, H)
-    hidden, zr, c = cache["gru"]
+    # the scan's arrays are feature major: hidden is (L + 1, H, B), its first
+    # state the initial zeros; zr is (L, 2H, B), c and rh are (L, H, B)
+    hidden, zr, c, rh = cache["gru"]
+    hidden = hidden.transpose(0, 2, 1)
     hprev = hidden[:-1]
-    steps, _, H = c.shape
-    grads = {"head_w": hidden[-1].T @ dlogits, "head_b": dlogits.sum(axis=0)}
-    dh = dlogits @ params["head_w"].T
+    L, H, _ = c.shape
+    H2 = 2 * H
+    grads = {"head_w": hidden[-1] @ dlogits, "head_b": dlogits.sum(axis=0)}
+    dh = params["head_w"] @ dlogits.T  # (H, B)
 
-    # the scan carries only dh; each step's gate pre-activation gradients are
-    # kept, gates side by side in dgate[t] = (B, [z, r, c], H), and contracted
-    # with the gate inputs once, after the loop. One matmul against the
-    # stacked [uz^T; ur^T] carries dz and dr back together
-    dgate = np.empty((steps, B, 3, H))
-    u_zr_t = np.concatenate([params["gru_uz"].T, params["gru_ur"].T])
-    uc_t = params["gru_uc"].T
-    for t in range(steps - 1, -1, -1):
-        z, r, ct, hp, dg = zr[t, 0], zr[t, 1], c[t], hprev[t], dgate[t]
-        np.multiply(dh * z, 1.0 - ct * ct, out=dg[:, 2])
-        np.multiply(dh * (ct - hp) * z, 1.0 - z, out=dg[:, 0])
-        drh = dg[:, 2] @ uc_t
-        np.multiply(drh * hp * r, 1.0 - r, out=dg[:, 1])
-        dh = dh * (1.0 - z) + drh * r + dg[:, :2].reshape(B, 2 * H) @ u_zr_t
+    # the scan carries only dh. The factors of each step's gate gradients
+    # that do not depend on dh are computed for all steps before it: dc =
+    # dh z (1 - c^2), dz = dh (c - h) z (1 - z) and dr = d(rh) h r (1 - r).
+    # The pre-activation gradients are kept stacked, dgate[t] = ([z, r, c],
+    # B), and contracted with the gate inputs after the loop. One dot with
+    # [uz, ur] carries dz and dr back together
+    z, r = zr[:, :H], zr[:, H:]
+    keep = 1.0 - z
+    c_factor = z * (1.0 - c * c)
+    z_factor = (c - hprev) * z * keep
+    r_factor = rh * (1.0 - r)
+    dgate = np.empty((L, 3 * H, B))
+    drh = np.empty((H, B))
+    u_zr = np.concatenate([params["gru_uz"], params["gru_ur"]], axis=1)
+    uc = params["gru_uc"]
+    for t in range(L - 1, -1, -1):
+        dg = dgate[t]
+        np.multiply(dh, c_factor[t], out=dg[H2:])
+        np.multiply(dh, z_factor[t], out=dg[:H])
+        np.dot(uc, dg[H2:], out=drh)
+        np.multiply(drh, r_factor[t], out=dg[H:H2])
+        # dh <- dh (1 - z) + d(rh) r + [uz, ur] [dz; dr]
+        dh *= keep[t]
+        drh *= r[t]
+        dh += drh
+        dh += np.dot(u_zr, dg[:H2], out=drh)
 
-    xs = cache["conv_out"].transpose(2, 0, 1)  # (steps, B, C)
-    steps_and_batch = ([0, 1], [0, 1])
-    dw = np.tensordot(xs, dgate, axes=steps_and_batch)  # (C, 3, H)
-    du_zr = np.tensordot(hprev, dgate[:, :, :2], axes=steps_and_batch)  # (H, 2, H)
-    db = dgate.sum(axis=(0, 1))
+    # each weight gradient sums a per-step product over the steps; the
+    # input's row of ones gives the bias gradients in the last column
+    C = config.conv_channels
+    dwb = np.matmul(dgate, cache["gru_in"].transpose(0, 2, 1)).sum(axis=0)  # (3H, C + 1)
+    du_zr = np.matmul(dgate[:, :H2], hprev.transpose(0, 2, 1)).sum(axis=0)  # (2H, H)
     for i, gate in enumerate("zrc"):
-        grads[f"gru_w{gate}"], grads[f"gru_b{gate}"] = dw[:, i], db[i]
-    grads["gru_uz"], grads["gru_ur"] = du_zr[:, 0], du_zr[:, 1]
-    grads["gru_uc"] = np.tensordot(zr[:, 1] * hprev, dgate[:, :, 2], axes=steps_and_batch)
-    w_t = np.concatenate([params["gru_wz"].T, params["gru_wr"].T, params["gru_wc"].T])
-    dxs = dgate.reshape(steps, B, 3 * H) @ w_t
+        gate_rows = dwb[i * H : (i + 1) * H]
+        grads[f"gru_w{gate}"], grads[f"gru_b{gate}"] = gate_rows[:, :C].T, gate_rows[:, C]
+    grads["gru_uz"], grads["gru_ur"] = du_zr[:H].T, du_zr[H:].T
+    grads["gru_uc"] = np.matmul(dgate[:, H2:], rh.transpose(0, 2, 1)).sum(axis=0).T
+    w = np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1)
+    dout = np.matmul(w, dgate).transpose(2, 0, 1)  # (B, L, C)
 
-    dout = dxs.transpose(1, 2, 0)
+    # conv layers, back to front. A gradient strip's pad rows are zero, so it
+    # serves both the kernel gradient and the adjoint
+    def masked_strip(g, pre, pad):
+        """A strip holding g where the (B, C, L) pre-activation pre > 0."""
+        s = np.zeros((B * (L + 2 * pad), C))
+        np.multiply(g, pre.transpose(0, 2, 1) > 0, out=_rows(s, B, L, pad, pad))
+        return s
+
+    pad = config.res_kernel // 2
     for i in range(config.res_blocks - 1, -1, -1):
         blk = cache["res"][i]
-        dpre = dout * (blk["pre"] > 0)
-        grads[f"res{i}_w2"], grads[f"res{i}_b2"] = _conv1d_backward(
-            dpre, blk["win2"], params[f"res{i}_w2"])
-        dy1 = _conv1d_adjoint(dpre, params[f"res{i}_w2"]) * (blk["y1_pre"] > 0)
-        grads[f"res{i}_w1"], grads[f"res{i}_b1"] = _conv1d_backward(
-            dy1, blk["win1"], params[f"res{i}_w1"])
-        dout = _conv1d_adjoint(dy1, params[f"res{i}_w1"]) + dpre  # skip connection
+        dpre = masked_strip(dout, blk["pre"], pad)
+        grads[f"res{i}_w2"], grads[f"res{i}_b2"] = _conv_grads(dpre, blk["win2"],
+                                                               params[f"res{i}_w2"])
+        dmid = _conv_adjoint(dpre, params[f"res{i}_w2"])
+        dy1 = masked_strip(_rows(dmid, B, L, pad), blk["y1_pre"], pad)
+        grads[f"res{i}_w1"], grads[f"res{i}_b1"] = _conv_grads(dy1, blk["win1"],
+                                                               params[f"res{i}_w1"])
+        dx = _conv_adjoint(dy1, params[f"res{i}_w1"])
+        n = len(blk["win1"])
+        dx[:n] += dpre[pad : pad + n]  # skip connection
+        dout = _rows(dx, B, L, pad)
 
-    dstem = dout * (cache["stem_pre"] > 0)
     # the stem's input is the data, so it needs no input gradient
-    grads["stem_w"], grads["stem_b"] = _conv1d_backward(
-        dstem, cache["stem_win"], params["stem_w"])
+    dstem = masked_strip(dout, cache["stem_pre"], config.kernel_size // 2)
+    grads["stem_w"], grads["stem_b"] = _conv_grads(dstem, cache["stem_win"], params["stem_w"])
     return grads
 
 
@@ -387,16 +450,17 @@ def backward(
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's moment estimates over every parameter as one flat vector, in
+    the parameters' dict order, and the step count."""
+
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
 
     @classmethod
     def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+        size = sum(p.size for p in params.values())
+        return cls(m=np.zeros(size), v=np.zeros(size))
 
 
 def adam_step(
@@ -405,21 +469,32 @@ def adam_step(
     state: AdamState,
     cfg: TrainConfig,
 ) -> tuple[dict[str, np.ndarray], AdamState]:
-    """Standard Adam with bias correction; returns fresh params and state."""
+    """Standard Adam with bias correction; returns fresh params and state.
+
+    Adam is element-wise, so it runs once over all parameters as one flat
+    vector; the returned params are named views of that vector.
+    """
     if set(grads) != set(params):
         raise MouseAuthError("gradient names do not match parameters")
+    for name, p in params.items():
+        if grads[name].shape != p.shape:
+            raise MouseAuthError(f"{name}: gradient shape {grads[name].shape} != {p.shape}")
+    # axis=None flattens each array in turn
+    p = np.concatenate(list(params.values()), axis=None)
+    g = np.concatenate([grads[name] for name in params], axis=None)
+    if state.m.shape != p.shape or state.v.shape != p.shape:
+        raise MouseAuthError(f"Adam state holds {state.m.size} values, the parameters {p.size}")
     state.t += 1
     t = state.t
-    out = {}
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise MouseAuthError(f"{name}: gradient shape {g.shape} != {p.shape}")
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        m_hat = state.m[name] / (1 - ADAM_BETA1**t)
-        v_hat = state.v[name] / (1 - ADAM_BETA2**t)
-        out[name] = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g * g
+    m_hat = state.m / (1 - ADAM_BETA1**t)
+    v_hat = state.v / (1 - ADAM_BETA2**t)
+    flat = p - cfg.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    out, start = {}, 0
+    for name, value in params.items():
+        out[name] = flat[start : start + value.size].reshape(value.shape)
+        start += value.size
     return out, state
 
 

@@ -206,3 +206,56 @@ def test_segment_disjoint_prefix_property():
 def test_segment_invalid_length():
     with pytest.raises(MouseAuthError, match="MAU length must be >= 1"):
         segment(make_vel(np.arange(10.0)), 0)
+
+
+# ---------------------------------------------------------------------------
+# settings
+
+@pytest.mark.parametrize("m, r, message", [
+    (2, float("nan"), "r must be positive and finite"),  # gave -0.0102
+    (2, float("inf"), "r must be positive and finite"),  # gave 0.0
+    (True, 0.5, "m must be an integer >= 1"),  # ran at m = 1
+    (2.0, 0.5, "m must be an integer >= 1"),  # a bare TypeError
+    ("2", 0.5, "m must be an integer >= 1"),
+])
+def test_apen_rejects_bad_settings(m, r, message):
+    with pytest.raises(MouseAuthError, match=message):
+        apen(SplitMix64(4).normals(40), m, r)
+
+
+@pytest.mark.parametrize("settings, message", [
+    ({"candidates": [2.7, 4]}, "candidates must be integers"),  # ran at [2, 4]
+    ({"candidates": [True, 4]}, "candidates must be integers"),  # ran at [1, 4]
+    ({"cap": 50.5}, "cap must be an integer"),  # a bare TypeError
+    ({"r_factor": float("inf")}, "r_factor must be positive and finite"),
+])
+def test_apen_profile_rejects_bad_settings(settings, message):
+    vel = make_vel(SplitMix64(6).normals(100))
+    with pytest.raises(MouseAuthError, match=message):
+        apen_profile(vel, **{"candidates": [2, 4], **settings})
+
+
+@pytest.mark.parametrize("length", [True, 2.5, 3.0, "3"])
+def test_segment_rejects_non_integer_length(length):
+    # True cut length-1 windows; the others raised a bare TypeError
+    with pytest.raises(MouseAuthError, match="MAU length must be >= 1 and an integer"):
+        segment(make_vel(np.arange(10.0)), length)
+
+
+def test_numpy_integer_settings_accepted():
+    seq = SplitMix64(4).normals(60)
+    assert apen(seq, np.int64(2), 0.3) == apen(seq, 2, 0.3)
+    assert len(segment(make_vel(np.arange(10.0)), np.int32(3))) == 3
+    profile = apen_profile(make_vel(seq), candidates=np.array([2, 4]), cap=np.int64(50))
+    assert '"candidate_lengths": [2, 4]' in profile.to_json()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_apen_profile_rejects_non_finite_speeds(bad):
+    # the profile came back in full: sigma went NaN and r fell to its floor
+    v = SplitMix64(12).normals(100)
+    v[37] = bad
+    with pytest.raises(MouseAuthError, match="s: non-finite speed among the first 100 samples"):
+        apen_profile(make_vel(v), candidates=[2, 4])
+    # samples past the cap are never read
+    assert apen_profile(make_vel(v), candidates=[2, 4], cap=30).candidate_lengths == [2, 4]

@@ -13,9 +13,9 @@ from mouseauth.model import (
     PREDICT_BLOCK,
     ModelConfig,
     TrainConfig,
-    _conv1d,
-    _conv1d_adjoint,
-    _conv1d_backward,
+    _conv,
+    _conv_adjoint,
+    _conv_grads,
     adam_step,
     backward,
     batch_from_maus,
@@ -248,6 +248,15 @@ def test_gradients_match_finite_differences_at_batch_one():
     assert finite_difference_check(TINY, tiny_batch(1, seed=11), np.array([1])) < 1e-4
 
 
+def test_gradients_match_finite_differences_with_unequal_pads():
+    # the stem's strip is padded by 1 and the residual blocks' by 2, and the
+    # second block reads the first block's output strip
+    config = ModelConfig(input_length=7, conv_channels=2, kernel_size=3, res_blocks=2,
+                         res_kernel=5, gru_hidden=3, seed=5)
+    batch = np.random.default_rng(13).normal(size=(3, 7))
+    assert finite_difference_check(config, batch, np.array([1, 0, 1])) < 1e-4
+
+
 def conv1d_by_taps(x, w, b):
     """y[b, o, l] = b[o] + sum over c, k of w[o, c, k] x[b, c, l + k - K//2],
     with x zero outside [0, L)."""
@@ -262,23 +271,42 @@ def conv1d_by_taps(x, w, b):
     return y
 
 
+def to_strip(x, pad):
+    """A (B, C, L) map as its channels-last strip: B * (L + 2 pad) rows of C,
+    row b * (L + 2 pad) + pad + l holding x[b, :, l], the others zero."""
+    B, C, L = x.shape
+    strip = np.zeros((B, L + 2 * pad, C))
+    strip[:, pad : pad + L] = x.transpose(0, 2, 1)
+    return strip.reshape(B * (L + 2 * pad), C)
+
+
+def from_output_rows(y, B, L, pad):
+    """The (B, O, L) map held in a conv's output rows b * (L + 2 pad) + l."""
+    return y.reshape(B, L + 2 * pad, y.shape[1])[:, :L].transpose(0, 2, 1)
+
+
 @pytest.mark.parametrize("K", [1, 3, 5, 7])
-@pytest.mark.parametrize("B, L", [(1, 9), (4, 9), (3, 2)])  # L=2 is shorter than K>=3
+# L=2 is shorter than K>=3; B=0 has no windows
+@pytest.mark.parametrize("B, L", [(1, 9), (4, 9), (3, 2), (0, 9)])
 def test_conv1d_matches_tap_sum_and_its_adjoint(K, B, L):
     rng = np.random.default_rng(K * 100 + B * 10 + L)
     x = rng.normal(size=(B, 2, L))
     w = rng.normal(size=(3, 2, K))
     b = rng.normal(size=3)
     dy = rng.normal(size=(B, 3, L))
-    y, win = _conv1d(x, w, b)
-    assert np.max(np.abs(y - conv1d_by_taps(x, w, b))) <= 1e-12
-    dw, _ = _conv1d_backward(dy, win, w)
-    dx = _conv1d_adjoint(dy, w)
+    pad = K // 2
+    out, win = _conv(to_strip(x, pad), w, b)
+    y = from_output_rows(out, B, L, pad)
+    assert y.shape == (B, 3, L)
+    assert np.max(np.abs(y - conv1d_by_taps(x, w, b)), initial=0.0) <= 1e-12
+    dw, db = _conv_grads(to_strip(dy, pad), win, w)
+    dx = from_output_rows(_conv_adjoint(to_strip(dy, pad), w), B, L, pad)
     # conv(x, w) - b is bilinear in x and w, so dy's inner product with it
     # equals both <x, dx> and <w, dw>
     lhs = np.vdot(y - b[:, None], dy)
     assert abs(lhs - np.vdot(x, dx)) <= 1e-12
     assert abs(lhs - np.vdot(w, dw)) <= 1e-12
+    assert np.max(np.abs(db - dy.sum(axis=(0, 2)))) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +339,38 @@ def test_adam_shape_mismatch():
     grads = {"w": np.zeros(4)}
     with pytest.raises(MouseAuthError, match="w: gradient shape"):
         adam_step(params, grads, AdamState.zeros_like(params), TrainConfig())
+    with pytest.raises(MouseAuthError, match="Adam state holds 4 values, the parameters 3"):
+        adam_step(params, params, AdamState.zeros_like(grads), TrainConfig())
+
+
+def per_tensor_adam(params, grads, m, v, t, learning_rate):
+    """Adam one tensor at a time, updating the moment dicts m and v."""
+    out = {}
+    for name, p in params.items():
+        g = grads[name]
+        m[name] = ADAM_BETA1 * m[name] + (1 - ADAM_BETA1) * g
+        v[name] = ADAM_BETA2 * v[name] + (1 - ADAM_BETA2) * g * g
+        m_hat = m[name] / (1 - ADAM_BETA1**t)
+        v_hat = v[name] / (1 - ADAM_BETA2**t)
+        out[name] = p - learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return out
+
+
+def test_flat_adam_matches_per_tensor_adam_bit_for_bit():
+    params = init_params(TINY)
+    ref = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    state = AdamState.zeros_like(params)
+    cfg = TrainConfig(learning_rate=3e-3)
+    batch, labels = tiny_batch(6, seed=2), np.array([0, 1, 1, 0, 1, 0])
+    for t in range(1, 6):
+        # backprop's gradients, some of them transposed views
+        grads = backward(params, labels, forward(params, batch, TINY)[1], TINY)
+        params, state = adam_step(params, grads, state, cfg)
+        ref = per_tensor_adam(ref, grads, m, v, t, cfg.learning_rate)
+        assert state.t == t
+        assert all(np.array_equal(params[name], ref[name]) for name in ref), t
 
 
 # ---------------------------------------------------------------------------
