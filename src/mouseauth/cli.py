@@ -22,18 +22,6 @@ from . import evaluation, ingest, kinematics, mau, model, sufficiency, synth
 from .errors import ConfigError, MouseAuthError
 
 
-def _has_type_of(value, default) -> bool:
-    """Whether a config value has its default's type. An int stands for a
-    float, a bool is never a number, and a list holds ints."""
-    if isinstance(default, list):
-        return isinstance(value, list) and all(_has_type_of(v, 0) for v in value)
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    if isinstance(default, float):
-        return isinstance(value, (int, float))
-    return isinstance(value, type(default))
-
-
 @dataclass
 class PipelineConfig:
     schema: dict = field(
@@ -68,22 +56,15 @@ class PipelineConfig:
     out_dir: str = "out"
 
     def validate(self):
-        defaults = PipelineConfig()
-        for f in dataclasses.fields(self):
-            value, default = getattr(self, f.name), getattr(defaults, f.name)
-            if not _has_type_of(value, default):
-                kind = "list of int" if isinstance(default, list) else type(default).__name__
-                raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
-            # abs() compares an int of any size exactly, and inf and nan fail
-            if isinstance(default, float) and not abs(value) <= sys.float_info.max:
-                raise ConfigError(f"{f.name} must be finite, got {value!r}")
-        if not self.dt > 0:
-            raise ConfigError("dt must be positive")
+        # the stage that reads a field checks it; no stage reads out_dir
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out_dir must be of type str, got {self.out_dir!r}")
         try:
             self.schema_map()
         except (TypeError, MouseAuthError) as exc:  # a missing or unknown key, a bad value
             raise ConfigError(f"bad schema {self.schema!r}: {exc}") from exc
-        try:  # each stage states its own rules
+        try:
+            kinematics.check_dt(self.dt)
             sufficiency.check_settings(self.step_m, self.eps1, self.eps2)
             mau.check_profile_settings(self.candidates, self.r_factor, self.cap,
                                        self.slope_threshold)
@@ -152,12 +133,13 @@ def _load_json_object(path: str) -> dict:
 def load_config(args) -> PipelineConfig:
     values = _load_json_object(args.config) if args.config else {}
     # a preset is not a config field: it only fills in the fields it names
+    # that the file leaves unset, so defaults < preset < file < flags
     preset = getattr(args, "preset", None) or values.get("preset")
     values.pop("preset", None)
     if preset:
         if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
-        values.update(copy.deepcopy(PRESETS[preset]))
+        values = {**copy.deepcopy(PRESETS[preset]), **values}
     # each override flag's argparse dest is the config field it sets
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
     for name in known:

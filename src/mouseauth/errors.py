@@ -8,6 +8,7 @@ check their own settings.
 """
 
 import numbers
+import sys
 
 import numpy as np
 
@@ -30,6 +31,6 @@ def is_integer(value) -> bool:
 
 
 def is_positive_finite(value) -> bool:
-    """A real number, not a bool, in (0, inf); written so that NaN fails."""
+    """A real number, not a bool, in (0, inf); NaN and an int past any float fail."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and 0 < value < np.inf)
+            and 0 < value <= sys.float_info.max)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MouseAuthError
+from .errors import MouseAuthError, is_integer, is_positive_finite
 from .mau import Mau
 from . import model as model_mod
 
@@ -152,14 +152,14 @@ class Split:
 
 def check_split_settings(ratio: float, unseen_count: int, train_frac: float):
     """Raise MouseAuthError unless build_splits can honour these settings:
-    a positive ratio, at least one unseen user (DSR needs one) and a
-    train_frac in (0, 1)."""
-    if not ratio > 0:
-        raise MouseAuthError("pos_neg_ratio must be positive")
-    if unseen_count < 1:
-        raise MouseAuthError("unseen_count must be >= 1")
-    if not 0 < train_frac < 1:
-        raise MouseAuthError("train_frac must be in (0, 1)")
+    a positive finite ratio, an integer count of at least one unseen user
+    (DSR needs one) and a real train_frac in (0, 1)."""
+    if not is_positive_finite(ratio):
+        raise MouseAuthError(f"pos_neg_ratio must be positive and finite, got {ratio!r}")
+    if not is_integer(unseen_count) or unseen_count < 1:
+        raise MouseAuthError(f"unseen_count must be >= 1 and an integer, got {unseen_count!r}")
+    if not (is_positive_finite(train_frac) and train_frac < 1):
+        raise MouseAuthError(f"train_frac must be in (0, 1), got {train_frac!r}")
 
 
 def build_splits(

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MouseAuthError
+from .errors import MouseAuthError, is_positive_finite
 from .ingest import Session
 
 
@@ -27,9 +27,14 @@ def displacements(session: Session) -> np.ndarray:
     return np.hypot(np.diff(session.x), np.diff(session.y))
 
 
+def check_dt(dt: float):
+    """Raise MouseAuthError unless dt is a positive finite sampling interval."""
+    if not is_positive_finite(dt):
+        raise MouseAuthError(f"dt must be positive and finite, got {dt!r}")
+
+
 def velocity_sequence(session: Session, dt: float = 0.01) -> VelocitySequence:
     """Convert a session to a speed sequence at the fixed sampling interval dt."""
-    if dt <= 0:
-        raise MouseAuthError(f"dt must be positive, got {dt}")
+    check_dt(dt)
     v = displacements(session) / dt
     return VelocitySequence(session.user_id, session.session_id, dt, v)

@@ -122,10 +122,12 @@ def check_profile_settings(
     candidates: list[int], r_factor: float, cap: int, slope_threshold: float
 ):
     """Raise MouseAuthError unless apen_profile can select a length with
-    these settings: two or more strictly increasing integer candidates >= 1
-    (a slope needs two), a positive finite tolerance factor, a positive slope
-    threshold, and an integer cap that keeps enough samples for the largest
-    candidate."""
+    these settings: a list, tuple or 1-D array of two or more strictly
+    increasing integer candidates >= 1 (a slope needs two), a positive finite
+    tolerance factor and slope threshold, and an integer cap that keeps
+    enough samples for the largest candidate."""
+    if not (isinstance(candidates, (list, tuple)) or getattr(candidates, "ndim", 0) == 1):
+        raise MouseAuthError(f"candidates must be a list of integers, got {candidates!r}")
     if len(candidates) < 2:
         raise MouseAuthError("need at least two candidate lengths")
     if not all(is_integer(c) for c in candidates):
@@ -136,8 +138,9 @@ def check_profile_settings(
         raise MouseAuthError("candidates must be strictly increasing and >= 1")
     if not is_positive_finite(r_factor):
         raise MouseAuthError(f"r_factor must be positive and finite, got {r_factor!r}")
-    if not slope_threshold > 0:
-        raise MouseAuthError("slope_threshold must be positive")
+    if not is_positive_finite(slope_threshold):
+        raise MouseAuthError(
+            f"slope_threshold must be positive and finite, got {slope_threshold!r}")
     if not is_integer(cap):
         raise MouseAuthError(f"cap must be an integer, got {cap!r}")
     if cap < max(candidates) + 2:

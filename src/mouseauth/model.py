@@ -8,6 +8,7 @@ verified against finite differences.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, asdict, fields
@@ -75,8 +76,9 @@ class TrainConfig:
 # ---------------------------------------------------------------------------
 # parameters
 
+@functools.cache
 def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter, in initialization order.
+    """Name -> shape of every parameter, in initialization order; cached, so read only.
 
     The head has two outputs: imposter (class 0) and legitimate (class 1).
     """
@@ -241,7 +243,7 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     asks for it. Activations are written into fresh arrays, or into
     workspace when one is given (predict_batch's blocks); the returned
     cache then aliases it until the next call with the same workspace. The
-    cache's conv maps are (B, C, L) views.
+    cache holds what backward reads, in the layout backward reads it.
     """
     _check_shapes(params, config)
     batch = _as_batch(batch, config)
@@ -262,8 +264,7 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     stem_pre = _rows(y, B, L, stem_pad)
     h_strip, h = strip("res0.in", pad, C)
     np.maximum(stem_pre, 0.0, out=h)
-    cache: dict = {"x": x, "stem_win": stem_win, "stem_pre": stem_pre.transpose(0, 2, 1),
-                   "stem_out": h.transpose(0, 2, 1), "res": []}
+    cache: dict = {"stem_win": stem_win, "stem_pre": stem_pre, "res": []}
 
     # each ReLU writes into the next conv's strip, and the last one into the
     # GRU's (L, C + 1, B) input, whose last row holds ones for the biases
@@ -277,15 +278,12 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
         n = len(win2)
         y2[:n] += h_strip[pad : pad + n]  # the skip: output row r is strip row r + pad
         pre = _rows(y2, B, L, pad)
-        cache["res"].append({"in": h.transpose(0, 2, 1), "win1": win1,
-                             "y1_pre": y1_pre.transpose(0, 2, 1), "win2": win2,
-                             "pre": pre.transpose(0, 2, 1)})
+        cache["res"].append({"win1": win1, "y1_pre": y1_pre, "win2": win2, "pre": pre})
         if i + 1 < config.res_blocks:
             h_strip, h = strip(f"res{i + 1}.in", pad, C)
         else:
             h = gru_in[:, :C].transpose(2, 0, 1)
         np.maximum(pre, 0.0, out=h)
-    cache["conv_out"] = h.transpose(0, 2, 1)
 
     # gated recurrent scan over the L time steps of channel vectors, feature
     # major: step t's input, state and gates are (features, B) blocks, so
@@ -328,8 +326,7 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
         np.subtract(c_t, hprev, out=hnext)
         hnext *= z
         hnext += hprev
-    # hidden as (L + 1, B, H); the gates stay feature major for backward
-    cache["gru"] = (hidden.transpose(0, 2, 1), zr, c, rh)
+    cache["gru"] = (hidden, zr, c, rh)
     cache["gru_in"] = gru_in
 
     logits = hidden[-1].T @ params["head_w"] + params["head_b"]
@@ -359,7 +356,7 @@ def backward(
     """Analytic gradients of mean cross-entropy w.r.t. every parameter, for
     the batch whose forward pass produced cache."""
     labels = np.asarray(labels, dtype=int)
-    B = len(cache["x"])
+    B = len(cache["probs"])
     if labels.shape != (B,):
         raise MouseAuthError(f"expected {B} labels for the cached batch, got {labels.shape}")
     dlogits = cache["probs"].copy()
@@ -369,7 +366,6 @@ def backward(
     # the scan's arrays are feature major: hidden is (L + 1, H, B), its first
     # state the initial zeros; zr is (L, 2H, B), c and rh are (L, H, B)
     hidden, zr, c, rh = cache["gru"]
-    hidden = hidden.transpose(0, 2, 1)
     hprev = hidden[:-1]
     L, H, _ = c.shape
     H2 = 2 * H
@@ -419,9 +415,9 @@ def backward(
     # conv layers, back to front. A gradient strip's pad rows are zero, so it
     # serves both the kernel gradient and the adjoint
     def masked_strip(g, pre, pad):
-        """A strip holding g where the (B, C, L) pre-activation pre > 0."""
+        """A strip holding g where the (B, L, C) pre-activation pre > 0."""
         s = np.zeros((B * (L + 2 * pad), C))
-        np.multiply(g, pre.transpose(0, 2, 1) > 0, out=_rows(s, B, L, pad, pad))
+        np.multiply(g, pre > 0, out=_rows(s, B, L, pad, pad))
         return s
 
     pad = config.res_kernel // 2
@@ -570,6 +566,8 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config: Mod
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, dict):
+        raise MouseAuthError(f"checkpoint must hold a JSON object, got a {type(payload).__name__}")
     if payload.get("version") != CHECKPOINT_VERSION:
         raise MouseAuthError(f"unsupported checkpoint version: {payload.get('version')}")
     if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):

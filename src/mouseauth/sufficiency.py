@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .errors import MouseAuthError
+from .errors import MouseAuthError, is_integer, is_positive_finite
 from .kinematics import VelocitySequence
 
 GRID_POINTS = 1024
@@ -219,11 +219,11 @@ def _settled(kl_n: float, kl_next: float, eps1: float, eps2: float) -> bool:
 
 def check_settings(step_m: int, eps1: float, eps2: float):
     """Raise MouseAuthError unless sufficiency_point can scan with these
-    settings: a step of at least two samples and positive thresholds."""
-    if step_m < 2:
-        raise MouseAuthError("step_m must be >= 2")
-    if not (eps1 > 0 and eps2 > 0):
-        raise MouseAuthError("eps1 and eps2 must be positive")
+    settings: an integer step of two or more samples, finite positive thresholds."""
+    if not is_integer(step_m) or step_m < 2:
+        raise MouseAuthError(f"step_m must be >= 2 and an integer, got {step_m!r}")
+    if not (is_positive_finite(eps1) and is_positive_finite(eps2)):
+        raise MouseAuthError(f"eps1 and eps2 must be positive and finite, got {eps1!r}, {eps2!r}")
 
 
 def sufficiency_point(

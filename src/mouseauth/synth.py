@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MouseAuthError
-from .kinematics import VelocitySequence
+from .kinematics import VelocitySequence, check_dt
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -132,6 +132,7 @@ def generate(
     spec: SynthSpec, user_id: str = "synth", session_id: str = "s0", dt: float = 0.01
 ) -> VelocitySequence:
     """Generate one synthetic speed sequence, deterministic given the seed."""
+    check_dt(dt)
     rng = SplitMix64(spec.seed)
     p = {**KINDS[spec.kind], **spec.params}
     n = spec.length

@@ -52,6 +52,23 @@ def test_config_file_preset(tmp_path):
     assert cfg.schema_map() == SchemaMap(timestamp_col="client timestamp", x_col="x", y_col="y")
 
 
+def test_config_file_values_beat_its_preset_and_flags_beat_both(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"preset": "dfl", "eps2": 1e-8, "pos_neg_ratio": 3.0}))
+    cfg = load_config(build_parser().parse_args(
+        ["sufficiency", "--config", str(cfg_file), "--user", "u", "a.csv"]))
+    assert (cfg.eps2, cfg.pos_neg_ratio, cfg.step_m) == (1e-8, 3.0, 200)
+    cfg_file.write_text(json.dumps({"eps2": 1e-8}))
+    cfg = load_config(build_parser().parse_args(
+        ["sufficiency", "--config", str(cfg_file), "--preset", "balabit", "--eps2", "1e-5",
+         "--user", "u", "a.csv"]))
+    assert (cfg.eps2, cfg.pos_neg_ratio) == (1e-5, 5.0)
+    cfg = load_config(build_parser().parse_args(
+        ["sufficiency", "--config", str(cfg_file), "--preset", "balabit", "--user", "u", "a.csv"]))
+    assert cfg.eps2 == 1e-8
+    assert cfg.schema_map() == SchemaMap(timestamp_col="client timestamp", x_col="x", y_col="y")
+
+
 def test_load_config_rejects_bad_values(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"dt": -1}))
@@ -202,6 +219,17 @@ def test_eval_checkpoint_without_params_exit_code(tmp_path, capsys):
                  str(ckpt), str(tmp_path / "data")])
     assert code == 1
     assert json.loads(capsys.readouterr().err.strip())["error"] == "MouseAuthError"
+
+
+@pytest.mark.parametrize("text", ["[1]", "3", "null"])
+def test_eval_checkpoint_not_an_object_exit_code(tmp_path, capsys, text):
+    ckpt = tmp_path / "model.json"
+    ckpt.write_text(text)
+    code = main(["eval", "--legit-user", "u1", "--out", str(tmp_path / "out"),
+                 str(ckpt), str(tmp_path / "data")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "MouseAuthError" and "JSON object" in record["message"]
 
 
 @pytest.mark.parametrize("edit", [{"kernel_size": "3"}, {"input_length": 30.0},

@@ -248,6 +248,12 @@ def test_split_insufficient_users():
     ({"ratio": -2.0}, "pos_neg_ratio must be positive"),
     ({"train_frac": 1.5}, r"train_frac must be in \(0, 1\)"),  # no legitimate test MAU
     ({"unseen_count": 0}, "unseen_count must be >= 1"),  # no unseen user, so no DSR
+    # these were a bare TypeError, "need >= 3.5 users", or a split on one imposter MAU
+    ({"unseen_count": True}, "unseen_count must be >= 1 and an integer"),
+    ({"unseen_count": 1.5}, "unseen_count must be >= 1 and an integer"),
+    ({"ratio": float("inf")}, "pos_neg_ratio must be positive and finite"),
+    ({"ratio": "5"}, "pos_neg_ratio must be positive and finite"),
+    ({"train_frac": "0.7"}, r"train_frac must be in \(0, 1\)"),
 ])
 def test_split_rejects_settings_it_cannot_honour(settings, message):
     with pytest.raises(MouseAuthError, match=message):

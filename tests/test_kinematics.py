@@ -52,6 +52,15 @@ def test_invalid_dt():
         velocity_sequence(session_from_xy([(0, 0), (1, 1)]), dt=0.0)
 
 
+# NaN gave NaN speeds, inf all zeros, True a dt of 1; the others a bare TypeError
+# or OverflowError
+@pytest.mark.parametrize("dt", [float("nan"), float("inf"), "0.01", True, None,
+                                pytest.param(10**400, id="401-digit")])
+def test_dt_must_be_positive_and_finite(dt):
+    with pytest.raises(MouseAuthError, match="dt must be positive and finite"):
+        velocity_sequence(session_from_xy([(0, 0), (1, 1)]), dt=dt)
+
+
 def test_translation_invariance():
     rng = np.random.default_rng(0)
     pts = rng.normal(size=(30, 2))

@@ -228,6 +228,11 @@ def test_apen_rejects_bad_settings(m, r, message):
     ({"candidates": [True, 4]}, "candidates must be integers"),  # ran at [1, 4]
     ({"cap": 50.5}, "cap must be an integer"),  # a bare TypeError
     ({"r_factor": float("inf")}, "r_factor must be positive and finite"),
+    ({"slope_threshold": "1"}, "slope_threshold must be positive and finite"),  # a TypeError
+    # selected on a threshold that every slope meets
+    ({"slope_threshold": float("inf")}, "slope_threshold must be positive and finite"),
+    ({"candidates": 5}, "candidates must be a list of integers"),  # a bare TypeError
+    ({"candidates": {2: "a", 4: "b"}}, "candidates must be a list of integers"),
 ])
 def test_apen_profile_rejects_bad_settings(settings, message):
     vel = make_vel(SplitMix64(6).normals(100))

@@ -111,10 +111,10 @@ def test_sequence_length_preserved():
     params = init_params(TINY)
     _, cache = forward(params, tiny_batch(), TINY)
     L = TINY.input_length
-    assert cache["stem_out"].shape[2] == L
+    assert cache["stem_pre"].shape[1] == L
     for blk in cache["res"]:
-        assert blk["pre"].shape[2] == L
-    assert cache["conv_out"].shape[2] == L
+        assert blk["pre"].shape[1] == L
+    assert cache["gru_in"].shape[0] == L
 
 
 def test_forward_shape_mismatch():
@@ -141,7 +141,7 @@ def test_residual_identity_with_zero_weights():
     # block input is post-ReLU (non-negative), so out = relu(0 + in) = in
     blk = cache["res"][0]
     out = np.maximum(blk["pre"], 0)
-    assert np.array_equal(out, blk["in"])
+    assert np.array_equal(out, np.maximum(cache["stem_pre"], 0))
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +239,10 @@ def test_gru_scan_matches_gate_by_gate_reference(B, L):
     for name in ("gru_bz", "gru_br", "gru_bc", "head_b"):  # nonzero biases
         params[name] = rng.normal(size=params[name].shape)
     probs, cache = forward(params, rng.normal(size=(B, L)), config)
-    hidden, ref_probs = gru_by_gates(params, cache["conv_out"].transpose(2, 0, 1))
-    assert np.max(np.abs(cache["gru"][0] - hidden)) <= 1e-12
+    # the GRU's (L, C + 1, B) input holds the conv output over a row of ones
+    xs = cache["gru_in"][:, : config.conv_channels].transpose(0, 2, 1)
+    hidden, ref_probs = gru_by_gates(params, xs)
+    assert np.max(np.abs(cache["gru"][0] - hidden.transpose(0, 2, 1))) <= 1e-12
     assert np.max(np.abs(probs - ref_probs)) <= 1e-12
 
 

@@ -268,6 +268,20 @@ def test_sufficiency_validates_params():
         sufficiency_point(vel, step_m=200, eps1=-1.0)
 
 
+# these gave a bare TypeError or ran the scan with a threshold every KL value meets
+@pytest.mark.parametrize("settings, message", [
+    ({"step_m": 250.5}, "step_m must be >= 2 and an integer"),
+    ({"step_m": "200"}, "step_m must be >= 2 and an integer"),
+    ({"eps1": "1"}, "eps1 and eps2 must be positive and finite"),
+    ({"eps1": float("inf")}, "eps1 and eps2 must be positive and finite"),
+    ({"eps2": 10**400}, "eps1 and eps2 must be positive and finite"),
+])
+def test_sufficiency_rejects_malformed_settings(settings, message):
+    vel = make_vel(np.abs(gaussian_samples(1000, mean=10, seed=2)))
+    with pytest.raises(MouseAuthError, match=message):
+        sufficiency_point(vel, **settings)
+
+
 # ---------------------------------------------------------------------------
 # aggregation
 

@@ -104,6 +104,16 @@ def test_invalid_specs():
             SynthSpec("ar1", {}, length, seed)
 
 
+# a negative dt wrote negative timestamps
+@pytest.mark.parametrize("dt", [-1.0, 0.0, float("nan"), float("inf"), "0.01"])
+def test_generate_rejects_bad_dt(dt):
+    spec = SynthSpec("gaussian_iid", {}, 10)
+    with pytest.raises(MouseAuthError, match="dt must be positive and finite"):
+        generate(spec, dt=dt)
+    with pytest.raises(MouseAuthError, match="dt must be positive and finite"):
+        generate_user_pool({"u": [spec]}, dt=dt)
+
+
 def test_user_pool_counts():
     specs = {
         f"u{i}": [
