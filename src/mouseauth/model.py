@@ -54,6 +54,8 @@ class ModelConfig:
         for name in sizes:
             if getattr(self, name) < 1:
                 raise MouseAuthError(f"{name} must be >= 1")
+        if self.seed < 0:  # np.random.default_rng takes no negative seed
+            raise MouseAuthError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 @dataclass
@@ -71,6 +73,8 @@ class TrainConfig:
             # a float fails inside train and True trains at batch 1
             if not is_integer(value) or value < 1:
                 raise MouseAuthError(f"batch_size/epochs must be integers >= 1, got {name}={value!r}")
+        if not is_integer(self.seed) or self.seed < 0:
+            raise MouseAuthError(f"seed must be an integer >= 0, got {self.seed!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -182,6 +182,9 @@ def test_malformed_config_file_exit_code(tmp_path, capsys, text):
     {"train_frac": 1.5},
     {"unseen_count": 0},
     {"cap": 100},  # below the largest default candidate + 2; train ran on it
+    {"seed": -1},  # failed in init_params after the corpus loaded
+    {"seed": "x"},
+    {"seed": True},
 ])
 def test_invalid_model_config_exit_code(tmp_path, capsys, values):
     # a valid corpus, so that only the model settings can fail
@@ -210,6 +213,15 @@ def test_cap_below_largest_candidate_is_a_config_error(tmp_path, capsys, command
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError" and "cap too small" in record["message"]
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    # checked before any input is read: the data root does not exist
+    code = main(["train", "--seed=-1", "--legit-user", "u1", "--out", str(tmp_path / "out"),
+                 str(tmp_path / "missing")])
+    assert code == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "seed must be an integer >= 0" in record["message"]
 
 
 def test_eval_checkpoint_without_params_exit_code(tmp_path, capsys):

@@ -1,9 +1,12 @@
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from mouseauth import ingest
 from mouseauth.cli import PRESETS, main
 from mouseauth.errors import EmptySession, MouseAuthError
 from mouseauth.ingest import ParseReport, SchemaMap, load_user, parse_session
@@ -170,10 +173,12 @@ def test_report_record(tmp_path, capsys):
     assert summary["parse_reports"] == [{"file": "s", "events": 701, "dropped": 1}]
 
 
-# field tokens: every way a value can be malformed, plus plain numbers that
-# make some rows negative or out of order
+# field tokens: every way a value can be malformed, text, a field holding a
+# comma, tokens float() reads but the bulk converter leaves to it, and plain
+# numbers that make some rows negative or out of order
 TOKENS = st.one_of(
-    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "junk", "", " 2 "]),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-0.0", "junk", "", " 2 ", "1_0", "١٢",
+                     "+.5e-3", "1.2.3", "Infinity", "NoButton", "1,5"]),
     st.integers(-2, 12).map(str),
     st.floats(-1, 12, allow_nan=False).map(repr),
 )
@@ -181,18 +186,38 @@ TOKENS = st.one_of(
 
 @st.composite
 def session_files(draw):
-    """A session file with an optional state column, which parsing ignores, and
-    an optional leading byte-order mark, as str or bytes, with its column
-    names and rows."""
-    names = draw(st.permutations(["t", "x", "y"] + (["state"] if draw(st.booleans()) else [])))
+    """A session file with optional state and button columns, which parsing
+    ignores, and an optional leading byte-order mark, as str or bytes, with
+    its column names and the rows the csv module reads from it.
+
+    Lines end in LF, CR LF or a bare CR. Half of the files are written by
+    csv.writer, which quotes a field that holds a comma (or, with QUOTE_ALL,
+    every field); the other half join the fields with commas, so a field
+    that holds one reads as two.
+    """
+    extra = [name for name in ("state", "button") if draw(st.booleans())]
+    names = draw(st.permutations(["t", "x", "y"] + extra))
     width = len(names)
-    rows = draw(st.lists(
+    drawn = draw(st.lists(
         st.one_of(st.lists(TOKENS, min_size=width, max_size=width),
                   st.lists(TOKENS, max_size=width - 1)),  # short and blank rows
         max_size=30,
     ))
-    lines = [",".join(names)] + [",".join(row) for row in rows]
-    text = "".join(line + draw(st.sampled_from(["\n", "\r\n"])) for line in lines)
+    writer = draw(st.booleans())
+    quoting = draw(st.sampled_from([csv.QUOTE_MINIMAL, csv.QUOTE_ALL]))
+    out = io.StringIO()
+    for row in [names] + drawn:
+        ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+        if writer:
+            csv.writer(out, lineterminator=ending, quoting=quoting).writerow(row)
+        else:
+            out.write(",".join(row) + ending)
+    if writer:
+        rows = [row for row in drawn if row]  # csv.writer quotes a lone empty field
+    else:
+        # a blank line, and so a row of one empty field, is skipped
+        rows = [line.split(",") for line in map(",".join, drawn) if line]
+    text = out.getvalue()
     if draw(st.booleans()):
         text = "\ufeff" + text
     if draw(st.booleans()):
@@ -200,13 +225,11 @@ def session_files(draw):
     return text, names, rows
 
 
-@settings(max_examples=400)
+@settings(max_examples=500)
 @given(session_files())
 def test_parse_matches_row_by_row(case):
     text, names, rows = case
     idx = {name: i for i, name in enumerate(names)}
-    # a row of one empty field is a blank line, which the csv reader skips
-    rows = [row for row in rows if row not in ([], [""])]
     kept, dropped = row_by_row(rows, idx["t"], idx["x"], idx["y"])
     if not kept:
         with pytest.raises(EmptySession):
@@ -218,3 +241,90 @@ def test_parse_matches_row_by_row(case):
     for col, values in zip("txy", zip(*kept)):
         # bit for bit: -0.0 must stay -0.0
         assert getattr(session, col).tobytes() == np.array(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300)
+@given(st.lists(st.one_of(st.text(ingest.NUMBER_BYTES.decode(), min_size=1, max_size=10),
+                          st.floats().map(repr).filter(lambda s: s.isascii() and "n" not in s)),
+                min_size=1, max_size=5))
+def test_loadtxt_reads_number_bytes_as_float_does(tokens):
+    # the premise of the bulk converter: on these bytes np.loadtxt accepts,
+    # rejects and rounds exactly as float() does
+    try:
+        expected = [float(token) for token in tokens]
+    except ValueError:
+        with pytest.raises(ValueError):
+            np.loadtxt(tokens, delimiter=",", comments=None, ndmin=1)
+        return
+    got = np.loadtxt(tokens, delimiter=",", comments=None, ndmin=1)
+    assert got.tobytes() == np.array(expected).tobytes()
+
+
+def test_only_rows_outside_the_bulk_take_float(monkeypatch):
+    # 4,950 plain rows and 50 malformed ones: only those 50 are read field by field
+    calls = []
+
+    def counted(fields, cols):
+        calls.append(fields)
+        return float_row(fields, cols)
+
+    float_row = ingest._float_row
+    monkeypatch.setattr(ingest, "_float_row", counted)
+    malformed = ["{t},junk,0", "nan,{t},1", "{t},1", "{t},1_0,2", "{t}, 2 ,3"]
+    lines = ["t,x,y"]
+    for i in range(5000):
+        t = repr(i * 0.01)
+        lines.append((malformed[i // 100 % 5] if i % 100 == 7 else "{t},{t},-{t}").format(t=t))
+    session, report = parse_session("\n".join(lines).encode(), SCHEMA, "u", "s")
+    assert len(calls) == 50
+    # junk, nan and the short row are dropped; float() reads 1_0 and " 2 "
+    assert report == ParseReport("s", events=4970, dropped=30)
+    x_at = dict(zip(session.t.tolist(), session.x.tolist()))
+    assert x_at[307 * 0.01] == 10.0 and x_at[407 * 0.01] == 2.0
+
+
+@pytest.mark.parametrize("quote", ["", '"'])
+def test_field_past_the_csv_limit_drops_its_row(quote):
+    # the csv module raised out of parse_session; now the row is dropped and
+    # counted, and reading resumes on the next line
+    long = quote + "1" * (csv.field_size_limit() + 1) + quote
+    data = f"t,x,y,state\n0,0,0,a\n1,1,1,{long}\n2,2,2,b\n3,{long},3,c\n4,4,4,d\n"
+    session, report = parse_session(data.encode(), SCHEMA, "u", "s")
+    assert report == ParseReport("s", events=3, dropped=2)
+    assert session.t.tolist() == [0, 2, 4]
+
+
+def test_csv_limit_counts_characters_not_bytes():
+    wide = "é" * csv.field_size_limit()  # twice as many bytes as the limit
+    data = f"t,x,y,state\n0,0,0,{wide}\n1,1,1,a\n"
+    _, report = parse_session(data.encode(), SCHEMA, "u", "s")
+    assert report == ParseReport("s", events=2, dropped=0)
+
+
+def test_field_past_the_csv_limit_in_cli(tmp_path, capsys):
+    # `mouseauth sufficiency` died with a traceback on such a file
+    vel = generate(SynthSpec("gaussian_iid", {"mean": 10, "std": 1}, 700, seed=3))
+    lines = to_session_csv(vel).splitlines()
+    lines.insert(5, "0.04," + "1" * (csv.field_size_limit() + 1) + ",0")
+    (tmp_path / "s.csv").write_text("\n".join(lines) + "\n")
+    code = main(["sufficiency", "--user", "u", "--out", str(tmp_path / "out"),
+                 str(tmp_path / "s.csv")])
+    assert code == 0
+    summary = json.loads(capsys.readouterr().out.strip())
+    assert summary["parse_reports"] == [{"file": "s", "events": 701, "dropped": 1}]
+
+
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+def test_line_endings(ending):
+    data = ending.join(["t,x,y", "0,0,0", "", "1,1,1", "2,2,2"])
+    session, report = parse_session(data.encode(), SCHEMA, "u", "s")
+    assert session.t.tolist() == [0, 1, 2]
+    assert report == ParseReport("s", events=3, dropped=0)
+
+
+def test_ill_formed_number_falls_back_to_float():
+    # 1.2.3 holds only number bytes, so np.loadtxt sees it and rejects the
+    # file's bulk; float() then reads every row
+    session, report = parse_session(b"t,x,y\n0,0,0\n1,1.2.3,1\n2,2,2", SCHEMA, "u", "s")
+    assert session.t.tolist() == [0, 2]
+    assert report == ParseReport("s", events=2, dropped=1)

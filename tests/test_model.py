@@ -49,7 +49,8 @@ def test_even_kernel_rejected():
 
 @pytest.mark.parametrize("values", [
     {"kernel_size": "3"}, {"input_length": 30.0}, {"gru_hidden": None},
-    {"res_blocks": True}, {"seed": 0.5}, {"standardize": 1}, {"standardize": "yes"},
+    {"res_blocks": True}, {"seed": 0.5}, {"seed": -1}, {"seed": True}, {"standardize": 1},
+    {"standardize": "yes"},
 ])
 def test_model_config_types_checked(values):
     name = next(iter(values))
@@ -418,6 +419,17 @@ def test_train_config_needs_a_finite_positive_learning_rate(rate):
     # trained at rate 1.0 and a string raised a bare TypeError
     with pytest.raises(MouseAuthError, match="learning_rate must be positive and finite"):
         TrainConfig(learning_rate=rate)
+
+
+@pytest.mark.parametrize("seed", [-1, "x", 0.5, True, None])
+def test_train_config_needs_a_non_negative_integer_seed(seed):
+    # a string was accepted, and -1 failed in the shuffle after the data loaded
+    with pytest.raises(MouseAuthError, match="seed must be an integer >= 0"):
+        TrainConfig(seed=seed)
+
+
+def test_train_config_accepts_numpy_integer_seed():
+    assert TrainConfig(seed=np.int64(3)).seed == 3
 
 
 def test_train_single_class_rejected():
