@@ -235,13 +235,22 @@ def _split_from_pool(cfg: PipelineConfig, pool, legit_user):
     )
 
 
+def _split_record(cfg: PipelineConfig, legit_user: str, parse_reports) -> dict:
+    """What the split depends on besides the MAU length, which the
+    checkpoint's config carries: train records it and eval checks it."""
+    return {"legit_user": legit_user, "seed": cfg.seed, "pos_neg_ratio": cfg.pos_neg_ratio,
+            "unseen_count": cfg.unseen_count, "train_frac": cfg.train_frac,
+            "parse_reports": parse_reports}
+
+
 def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
     split = _split_from_pool(cfg, pool, args.legit_user)
     X, y = split.train_arrays()
     params, history = model.train(X, y, cfg.model_config(), cfg.train_config())
     checkpoint = out / f"model_{args.legit_user}.json"
-    model.save_checkpoint(checkpoint, params, cfg.model_config())
+    model.save_checkpoint(checkpoint, params, cfg.model_config(),
+                          split=_split_record(cfg, args.legit_user, parse_reports))
     (out / f"loss_{args.legit_user}.csv").write_text(
         "epoch,loss\n" + "".join(f"{i},{l!r}\n" for i, l in enumerate(history))
     )
@@ -256,9 +265,16 @@ def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
 
 
 def cmd_eval(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
-    params, mcfg = model.load_checkpoint(args.checkpoint)
+    params, mcfg, record = model.read_checkpoint(args.checkpoint)
+    if not isinstance(record, dict):
+        raise ConfigError(f"{args.checkpoint} records no split to check; train it again")
     cfg.mau_length = mcfg.input_length
     pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
+    # any other split could test the model on its own training windows
+    want = _split_record(cfg, args.legit_user, parse_reports)
+    differ = sorted(key for key in want if record.get(key) != want[key])
+    if differ:
+        raise ConfigError(f"{args.checkpoint} was trained on another split: {differ} differ")
     split = _split_from_pool(cfg, pool, args.legit_user)
     X, y = split.test_arrays()
     scored = evaluation.ScoredSet(model.predict_batch(params, X, mcfg), y)
@@ -306,11 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--out", dest="out_dir", help="output directory")
-        p.add_argument("--seed", type=int)
+        if seed:
+            p.add_argument("--seed", type=int)
 
     p = sub.add_parser("sufficiency", help="KDE/KL proper-volume estimation")
     common(p)
@@ -339,9 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="blind-attack evaluation of a checkpoint")
-    common(p)
+    common(p, seed=False)  # the split's settings must be the checkpoint's
     p.add_argument("--legit-user", required=True, dest="legit_user")
-    p.add_argument("--unseen-count", type=int, dest="unseen_count")
     p.add_argument("checkpoint")
     p.add_argument("data_root")
     p.set_defaults(func=cmd_eval)

@@ -81,11 +81,13 @@ def parse_session(
     data = data.removeprefix(codecs.BOM_UTF8)
     if not data:
         raise EmptySession(f"{session_id}: file is empty")
-    if b'"' in data or b"\0" in data:
-        # quoting, and a NUL (a csv error before Python 3.11), stay the csv module's
-        values, rows = _read_csv(data.decode("utf-8", errors), schema, session_id)
-    else:
-        values, rows = _read_plain(data, errors, schema, session_id)
+    values = None if b'"' in data or b"\0" in data else _read_plain(data, errors, schema,
+                                                                     session_id)
+    if values is None:
+        # quoting, a NUL (a csv error before Python 3.11) and an ill-formed
+        # number such as 1.2.3 leave the whole file to the csv module
+        reader = csv.reader(io.StringIO(data.decode("utf-8", errors), newline=""))
+        values = _read_rows(reader, _columns(reader, schema, session_id)[1])
 
     t, x, y = values.T
     valid = np.isfinite(t) & np.isfinite(x) & np.isfinite(y) & (t >= 0)
@@ -97,7 +99,7 @@ def parse_session(
     events = int(np.count_nonzero(keep))
     if not events:
         raise EmptySession(f"{session_id}: no valid rows")
-    report = ParseReport(file=session_id, events=events, dropped=rows - events)
+    report = ParseReport(file=session_id, events=events, dropped=len(values) - events)
     return Session(user_id, session_id, t[keep], x[keep], y[keep]), report
 
 
@@ -126,38 +128,28 @@ def _float_row(fields: list[str], cols: list[int]) -> tuple[float, float, float]
     return float(fields[cols[0]]), float(fields[cols[1]]), float(fields[cols[2]])
 
 
-def _read_csv(text: str, schema: SchemaMap, session_id: str) -> tuple[np.ndarray, int]:
-    """The (t, x, y) values of the rows that parse, in file order, and the
-    number of data rows; the csv module splits the rows."""
-    reader = csv.reader(io.StringIO(text, newline=""))
-    _, cols = _columns(reader, schema, session_id)
-    parsed: list[tuple[float, float, float]] = []
-    rows = 0
+def _read_rows(reader, cols: list[int]) -> np.ndarray:
+    """The (t, x, y) values of each row a csv reader yields, NaN where
+    float() or the reader rejects the row; a blank line is no row."""
+    rows = []
     while True:
         try:
             fields = next(reader)
+            if fields:
+                rows.append(_float_row(fields, cols))
         except StopIteration:
-            break
-        except csv.Error:  # a field past the size limit; the reader resumes on the next line
-            rows += 1
-            continue
-        if not fields:
-            continue
-        rows += 1
-        try:
-            parsed.append(_float_row(fields, cols))
-        except (ValueError, IndexError):
-            pass
-    return np.array(parsed, dtype=float).reshape(-1, 3), rows
+            return np.array(rows, dtype=float).reshape(-1, 3)
+        except (csv.Error, ValueError, IndexError):  # csv.Error: a field past the size limit
+            rows.append((np.nan, np.nan, np.nan))
 
 
 def _read_plain(data: bytes, errors: str, schema: SchemaMap,
-                session_id: str) -> tuple[np.ndarray, int]:
-    """_read_csv for a file without quotes or NULs, whose rows are its lines
-    split at every comma. One pass over the bytes finds the lines and fields,
-    the rows whose t, x and y fields hold NUMBER_BYTES are converted in bulk,
-    and only the rest take float() field by field. A bulk row that float()
-    cannot read either stays NaN, so parse_session drops and counts it."""
+                session_id: str) -> np.ndarray | None:
+    """_read_rows for a file without quotes or NULs, whose rows are its
+    non-blank lines split at every comma, or None if np.loadtxt rejects a
+    field such as 1.2.3. One pass over the bytes finds the rows and fields,
+    one np.loadtxt call converts the rows whose t, x and y fields hold only
+    NUMBER_BYTES, and the csv module reads the other rows."""
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.endswith(b"\n"):
@@ -168,70 +160,29 @@ def _read_plain(data: bytes, errors: str, schema: SchemaMap,
     header = data[:ends[last[0]]].decode("utf-8", errors)
     width, cols = _columns(csv.reader([header]), schema, session_id)
     span = np.diff(ends, prepend=-1)  # each field's bytes and end byte
-    first, count = last[:-1] + 1, np.diff(last)  # per data line
+    first, count = last[:-1] + 1, np.diff(last)  # each data line's first field and field count
+    nonblank = (count > 1) | (span[first] > 1)
+    if not nonblank.all():
+        first, count = first[nonblank], count[nonblank]  # now per row
+    if not len(first):
+        return np.zeros((0, 3))
 
-    regular = count == width
+    # the bulk: rows of the header's width whose t, x and y fields are not
+    # empty, and none of whose fields may be past the csv size limit (the
+    # csv module counts characters, so it reads some rows left out here)
+    bulk = count == width
     limit = csv.field_size_limit()
-    if span.max() > limit + 1:  # the csv module rejects the row; it counts characters
-        too_long = np.zeros(len(last), dtype=bool)
-        too_long[np.searchsorted(last, np.flatnonzero(span > limit + 1))] = True
-        regular &= ~too_long[1:]
-    bulk = np.flatnonzero(regular)
-    fields = [first[bulk] + col for col in sorted(cols)]  # the t, x and y fields, in file order
+    if span.max() > limit + 1:
+        bulk[np.searchsorted(first, np.flatnonzero(span > limit + 1), "right") - 1] = False
+    rows = np.flatnonzero(bulk)
+    fields = [first[rows] + col for col in sorted(cols)]  # the t, x and y fields, in file order
     nonempty = (span[fields[0]] > 1) & (span[fields[1]] > 1) & (span[fields[2]] > 1)
     if not nonempty.all():
-        bulk, fields = bulk[nonempty], [f[nonempty] for f in fields]
-    usecols = [sorted(cols).index(col) for col in cols]  # t, x and y among the fields
-    values, unread = _convert_in_bulk(buf, span, fields, usecols)
+        rows, fields = rows[nonempty], [f[nonempty] for f in fields]
 
-    # float() for the other rows: in place for those of the bulk, merged in
-    # file order for the rest; a blank line is no row
-    blank = (count == 1) & (span[first] == 1)
-    other = ~blank
-    other[bulk] = False
-    other = np.flatnonzero(other)
-    line_start, line_end = ends[first - 1] + 1, ends[last[1:]]
-    lines = bulk[unread]
-    read, got = _float_rows(data, errors, cols, line_start[lines], line_end[lines])
-    if read:
-        values[unread[read]] = got
-    read, got = _float_rows(data, errors, cols, line_start[other], line_end[other])
-    if read:
-        values = np.insert(values, np.searchsorted(bulk, other[read]), got, axis=0)
-    return values, len(first) - int(np.count_nonzero(blank))
-
-
-def _float_rows(data: bytes, errors: str, cols: list[int], starts: np.ndarray,
-                ends: np.ndarray) -> tuple[list[int], list[tuple[float, float, float]]]:
-    """float() of the t, x and y fields of each line data[start:end]: which
-    lines it reads, by their place in ``starts``, and their values. A line is
-    not read where float() fails or the csv module would reject the row."""
-    limit = csv.field_size_limit()
-    read, values = [], []
-    for i, (start, end) in enumerate(zip(starts.tolist(), ends.tolist())):
-        fields = data[start:end].decode("utf-8", errors).split(",")
-        if end - start > limit and max(map(len, fields)) > limit:
-            continue
-        try:
-            values.append(_float_row(fields, cols))
-        except (ValueError, IndexError):
-            continue
-        read.append(i)
-    return read, values
-
-
-def _convert_in_bulk(buf: np.ndarray, span: np.ndarray, fields: list[np.ndarray],
-                     usecols: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Convert rows of three fields, given as three arrays of field numbers in
-    file order, with one np.loadtxt call over those fields' bytes; ``usecols``
-    puts the values in t, x, y order.
-
-    Returns the values and the rows left unread, whose values are NaN: a row
-    with a byte outside NUMBER_BYTES, and every row if np.loadtxt rejects one.
-    """
-    rows = len(fields[0])
-    if not rows:
-        return np.zeros((0, 3)), np.zeros(0, dtype=int)
+    # one text line per row for np.loadtxt: a bulk row's t, x and y fields in
+    # file order, and NaN for a row with a byte outside NUMBER_BYTES or
+    # outside the bulk; usecols puts the values in t, x, y order
     picked = np.zeros(len(span), dtype=bool)
     for f in fields:
         picked[f] = True
@@ -239,15 +190,32 @@ def _convert_in_bulk(buf: np.ndarray, span: np.ndarray, fields: list[np.ndarray]
     line_end = np.cumsum(span[fields[0]] + span[fields[1]] + span[fields[2]]) - 1
     text[line_end] = ord("\n")
     raw = text.tobytes()
-    lines = raw.decode("latin-1").split("\n")[:-1]
-    other = np.frombuffer(raw.translate(_OTHER_BYTE), dtype=bool)
-    unread = np.unique(np.searchsorted(line_end, np.flatnonzero(other)))
-    for row in unread.tolist():
-        lines[row] = "nan,nan,nan"
+    texts = raw.decode("latin-1").split("\n")[:-1]
+    unread = np.flatnonzero(np.frombuffer(raw.translate(_OTHER_BYTE), dtype=bool))
+    unread = np.unique(np.searchsorted(line_end, unread))
+    for i in unread.tolist():
+        texts[i] = "nan,nan,nan"
+    other = np.ones(len(first), dtype=bool)
+    other[rows] = False
+    lines, at = [], 0
+    for i, row in enumerate(np.flatnonzero(other).tolist()):
+        lines += texts[at:row - i]
+        lines.append("nan,nan,nan")
+        at = row - i
+    lines += texts[at:]
     try:
-        return np.loadtxt(lines, delimiter=",", comments=None, usecols=usecols, ndmin=2), unread
-    except ValueError:  # an ill-formed number such as 1.2.3
-        return np.full((rows, 3), np.nan), np.arange(rows)
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            usecols=[sorted(cols).index(col) for col in cols])
+    except ValueError:
+        return None
+    # the csv module reads the rows np.loadtxt read as NaN
+    other[rows[unread]] = True
+    other = np.flatnonzero(other)
+    if len(other):
+        starts, stops = ends[first[other] - 1] + 1, ends[first[other] + count[other] - 1]
+        lines = (data[a:b].decode("utf-8", errors) for a, b in zip(starts.tolist(), stops.tolist()))
+        values[other] = _read_rows(csv.reader(lines), cols)
+    return values
 
 
 def load_user(

@@ -559,16 +559,24 @@ def predict_batch(
 # ---------------------------------------------------------------------------
 # checkpoints
 
-def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config: ModelConfig):
+def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config: ModelConfig,
+                    split: dict | None = None):
+    """Write the parameters, the config and the record of the training split."""
     payload = {
         "version": CHECKPOINT_VERSION,
         "config": asdict(config),
         "params": {k: v.tolist() for k, v in params.items()},
+        "split": split,
     }
     Path(path).write_text(json.dumps(payload))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
+    return read_checkpoint(path)[:2]
+
+
+def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig, object]:
+    """The parameters, config and split record (or None) save_checkpoint wrote."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise MouseAuthError(f"checkpoint must hold a JSON object, got a {type(payload).__name__}")
@@ -582,6 +590,13 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     if classes != 2 or set(config_doc) != {f.name for f in fields(ModelConfig)}:
         raise MouseAuthError(f"checkpoint config does not match ModelConfig: {payload['config']}")
     config = ModelConfig(**config_doc)
-    params = {k: np.asarray(v, dtype=float) for k, v in payload["params"].items()}
+    params = {}
+    for name, value in payload["params"].items():
+        try:
+            params[name] = np.asarray(value, dtype=float)
+        except (TypeError, ValueError):  # an object, a string, a ragged list
+            raise MouseAuthError(f"checkpoint parameter {name} is not a numeric array") from None
+        if not np.isfinite(params[name]).all():  # JSON null reads as NaN, 1e999 as inf
+            raise MouseAuthError(f"checkpoint parameter {name} holds a non-finite value")
     _check_shapes(params, config)
-    return params, config
+    return params, config, payload.get("split")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -7,10 +8,11 @@ from pathlib import Path
 import pytest
 
 from mouseauth.cli import PRESETS, PipelineConfig, build_parser, load_config, main
-from mouseauth import model
+from mouseauth import evaluation, model
 from mouseauth.errors import ConfigError
 from mouseauth.ingest import SchemaMap, load_user
 from mouseauth.kinematics import velocity_sequence
+from mouseauth.mau import segment
 from mouseauth.sufficiency import _prefix_kl
 from mouseauth.synth import SynthSpec, generate, to_session_csv
 
@@ -260,6 +262,95 @@ def test_eval_checkpoint_with_wrongly_typed_config_exit_code(tmp_path, capsys, e
     assert record["error"] == "MouseAuthError" and next(iter(edit)) in record["message"]
 
 
+@pytest.mark.parametrize("value", ["null", "1e999", '{"a": 1}'])
+def test_eval_checkpoint_with_a_bad_parameter_exit_code(tmp_path, capsys, value):
+    # JSON null reads as NaN and 1e999 as inf, which would score every
+    # window NaN; an object does not convert at all
+    ckpt = tmp_path / "model.json"
+    config = model.ModelConfig(input_length=30)
+    model.save_checkpoint(ckpt, model.init_params(config), config)
+    payload = json.loads(ckpt.read_text())
+    payload["params"]["stem_b"][0] = "BAD"
+    ckpt.write_text(json.dumps(payload).replace('"BAD"', value))
+    code = main(["eval", "--legit-user", "u1", "--out", str(tmp_path / "out"),
+                 str(ckpt), str(tmp_path / "data")])
+    assert code == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "MouseAuthError" and "stem_b" in record["message"]
+
+
+TINY_TRAIN = {"mau_length": 20, "epochs": 1, "conv_channels": 2, "kernel_size": 3,
+              "res_blocks": 1, "gru_hidden": 4}
+
+
+@pytest.fixture
+def trained(tmp_path, capsys):
+    """A corpus, its train config and the checkpoint trained on them."""
+    data_root = write_corpus(tmp_path / "data", length=1500)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(TINY_TRAIN))
+    out = tmp_path / "out"
+    assert main(["train", "--config", str(cfg_file), "--legit-user", "u1", "--out", str(out),
+                 str(data_root)]) == 0
+    capsys.readouterr()
+    return data_root, cfg_file, out / "model_u1.json"
+
+
+def eval_main(cfg_file, checkpoint, data_root, out):
+    return main(["eval", "--config", str(cfg_file), "--legit-user", "u1", "--out", str(out),
+                 str(checkpoint), str(data_root)])
+
+
+def test_eval_on_the_training_split_matches_the_library(tmp_path, trained):
+    data_root, cfg_file, checkpoint = trained
+    out = tmp_path / "eval"
+    assert eval_main(cfg_file, checkpoint, data_root, out) == 0
+    # the split rebuilt from train's settings, scored through the library
+    params, mcfg = model.load_checkpoint(checkpoint)
+    cfg = PipelineConfig(**TINY_TRAIN)
+    users, parse_reports = {}, {}
+    for user in ("u1", "u2", "u3"):
+        paths = sorted((data_root / user).glob("*.csv"))
+        sessions, reports = load_user(paths, cfg.schema_map(), user)
+        users[user] = [m for s in sessions for m in segment(velocity_sequence(s, cfg.dt), 20)]
+        parse_reports[user] = [dataclasses.asdict(r) for r in reports]
+    split = evaluation.build_splits(users, "u1", ratio=cfg.pos_neg_ratio,
+                                    unseen_count=cfg.unseen_count, seed=cfg.seed,
+                                    train_frac=cfg.train_frac)
+    report = evaluation.blind_attack_eval(params, split, mcfg)
+    want = {"legit_user": "u1", **dataclasses.asdict(report), "parse_reports": parse_reports,
+            "config_hash": cfg.config_hash(), "seed": 0}
+    assert (out / "eval_u1.json").read_text() == json.dumps(want, indent=2)
+
+
+@pytest.mark.parametrize("change, message", [("seed", "['seed'] differ"),
+                                             ("file removed", "['parse_reports'] differ"),
+                                             ("no record", "records no split")])
+def test_eval_on_another_split_is_a_config_error(tmp_path, capsys, trained, change, message):
+    # on another split, some test windows are the model's own training
+    # windows and the unseen attacker may have been a training imposter
+    data_root, cfg_file, checkpoint = trained
+    if change == "seed":
+        cfg_file.write_text(json.dumps({**TINY_TRAIN, "seed": 1}))
+    elif change == "file removed":
+        (data_root / "u3" / "s1.csv").unlink()
+    else:
+        payload = json.loads(checkpoint.read_text())
+        del payload["split"]
+        checkpoint.write_text(json.dumps(payload))
+    assert eval_main(cfg_file, checkpoint, data_root, tmp_path / "eval") == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and message in record["message"]
+    assert not (tmp_path / "eval" / "eval_u1.json").exists()
+
+
+def test_eval_has_no_split_flags():
+    for flag in ("--seed", "--unseen-count"):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["eval", flag, "1", "--legit-user", "u1", "m.json", "d"])
+        assert exc.value.code == 2
+
+
 def test_missing_input_exit_code(tmp_path, capsys):
     code = main(["sufficiency", "--user", "u", "--out", str(tmp_path), "nope.csv"])
     assert code == 1
@@ -329,7 +420,7 @@ def test_train_eval_round_trip(tmp_path, capsys):
 
     code = main([
         "eval", "--config", str(cfg_file), "--legit-user", "u1",
-        "--out", str(out), "--seed", "0", checkpoint, str(data_root),
+        "--out", str(out), checkpoint, str(data_root),
     ])
     assert code == 0
     report = json.loads(capsys.readouterr().out.strip())
@@ -498,12 +589,10 @@ def test_config_hash_stable():
     ("train", "--mau-length", "40", "mau_length"),
     ("train", "--epochs", "3", "epochs"),
     ("train", "--ratio", "2.5", "pos_neg_ratio"),
-    ("eval", "--unseen-count", "2", "unseen_count"),
 ])
 def test_override_flag_sets_its_field(command, flag, value, field):
     positional = {"sufficiency": ["--user", "u", "a.csv"], "apen": ["--user", "u", "a.csv"],
-                  "train": ["--legit-user", "u1", "data"],
-                  "eval": ["--legit-user", "u1", "model.json", "data"]}[command]
+                  "train": ["--legit-user", "u1", "data"]}[command]
     cfg = load_config(build_parser().parse_args([command, flag, value, *positional]))
     default = getattr(PipelineConfig(), field)
     assert getattr(cfg, field) == type(default)(value) != default

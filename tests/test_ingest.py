@@ -243,6 +243,58 @@ def test_parse_matches_row_by_row(case):
         assert getattr(session, col).tobytes() == np.array(values, dtype=float).tobytes()
 
 
+# tokens the csv module reads differently from a split at commas: a quote
+# inside an unquoted field, an unterminated quote, "", quoted commas and line
+# ends, a NUL and a bare CR
+QUOTING_TOKENS = st.one_of(
+    st.sampled_from(['a"b', '1"', '"5', '""', '"""', '"1,5"', '"2\n3"', '"4\r\n"', '"7"',
+                     '"-0.0"', "\0", "1\0", "x\ry", "\r", "nan", "junk", ""]),
+    st.integers(-2, 12).map(str),
+    st.floats(-1, 12, allow_nan=False).map(repr),
+)
+
+
+@st.composite
+def quoting_files(draw):
+    """A file of QUOTING_TOKENS joined with commas, as str or bytes, and
+    its column names."""
+    extra = [name for name in ("state", "button") if draw(st.booleans())]
+    names = draw(st.permutations(["t", "x", "y"] + extra))
+    rows = draw(st.lists(st.lists(QUOTING_TOKENS, max_size=len(names) + 1), max_size=30))
+    endings = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(rows),
+                            max_size=len(rows)))
+    text = ",".join(names) + "\n" + "".join(
+        ",".join(row) + ending for row, ending in zip(rows, endings))
+    return (text.encode() if draw(st.booleans()) else text), names
+
+
+@settings(max_examples=300)
+@given(quoting_files())
+def test_parse_matches_the_csv_module_on_quoting_files(case):
+    data, names = case
+    text = data.decode() if isinstance(data, bytes) else data
+    reader = csv.reader(io.StringIO(text, newline=""))
+    next(reader)
+    rows = []
+    while True:
+        try:
+            rows.append(next(reader))
+        except StopIteration:
+            break
+        except csv.Error:  # the row is dropped and counted
+            rows.append(["csv error"])
+    idx = {name: i for i, name in enumerate(names)}
+    kept, dropped = row_by_row(rows, idx["t"], idx["x"], idx["y"])
+    if not kept:
+        with pytest.raises(EmptySession):
+            parse_session(data, SCHEMA, "u", "s")
+        return
+    session, report = parse_session(data, SCHEMA, "u", "s")
+    assert report == ParseReport("s", events=len(kept), dropped=dropped)
+    for col, values in zip("txy", zip(*kept)):
+        assert getattr(session, col).tobytes() == np.array(values, dtype=float).tobytes()
+
+
 @settings(max_examples=300)
 @given(st.lists(st.one_of(st.text(ingest.NUMBER_BYTES.decode(), min_size=1, max_size=10),
                           st.floats().map(repr).filter(lambda s: s.isascii() and "n" not in s)),
