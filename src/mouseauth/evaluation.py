@@ -27,9 +27,16 @@ class ScoredSet:
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=float)
-        self.labels = np.asarray(self.labels, dtype=int)
-        if len(self.scores) != len(self.labels):
+        labels = np.asarray(self.labels)
+        if len(self.scores) != len(labels):
             raise MouseAuthError("scores and labels must have equal length")
+        # a NaN score sorts after every other score, and a label such as 0.5
+        # would truncate to 0: either gives metrics that look valid
+        if not np.isfinite(self.scores).all():
+            raise MouseAuthError("scores must be finite")
+        if not np.isin(labels, (0, 1)).all():
+            raise MouseAuthError("labels must be 0 or 1")
+        self.labels = labels.astype(int)
 
 
 @dataclass

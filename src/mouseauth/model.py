@@ -124,25 +124,33 @@ def _check_shapes(params: dict[str, np.ndarray], config: ModelConfig):
 # layers
 
 class _Workspace:
-    """Named flat buffers that forward writes its activations into.
+    """Named buffers that forward writes its activations into.
 
     A buffer is allocated when its name is first taken and reused by every
     later take that fits, so forward over row blocks, largest first,
     allocates once. A taken array is a C-ordered prefix of its buffer, valid
     until the name is taken again. A conv strip keeps the zeros of its pad
-    rows by never writing them: they sit at the same offsets for any batch
-    size.
+    rows, and the GRU its zero initial state, by never writing them: they
+    sit at the same offsets for any batch size.
+
+    predict_batch also hands its blocks the params it checked and their
+    _prepare'd weights, which forward then reads instead of checking and
+    preparing them again; they live as long as that one call's workspace.
     """
 
-    def __init__(self):
+    def __init__(self, params: dict[str, np.ndarray] | None = None,
+                 weights: dict[str, np.ndarray] | None = None):
         self._buffers: dict[str, np.ndarray] = {}
+        self.params, self.weights = params, weights
 
     def take(self, name: str, shape: tuple[int, ...], zeros: bool = False) -> np.ndarray:
-        size = math.prod(shape)
         buf = self._buffers.get(name)
-        if buf is None or buf.size < size:
-            buf = self._buffers[name] = np.zeros(size) if zeros else np.empty(size)
-        return buf[:size].reshape(shape)
+        if buf is not None:
+            size = math.prod(shape)
+            if buf.size >= size:
+                return buf.reshape(-1)[:size].reshape(shape)
+        buf = self._buffers[name] = np.zeros(shape) if zeros else np.empty(shape)
+        return buf
 
 
 # A conv layer's (B, C, L) input map is kept channels-last in one strip of
@@ -158,9 +166,16 @@ def _rows(a: np.ndarray, B: int, L: int, pad: int, first: int = 0) -> np.ndarray
     return a.reshape(B, L + 2 * pad, a.shape[1])[:, first : first + L]
 
 
-def _conv(strip: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
+def _kernel(w: np.ndarray) -> np.ndarray:
+    """An (O, C, K) conv kernel as the (K * C, O) matrix _conv multiplies by."""
+    O, C, K = w.shape
+    return w.transpose(2, 1, 0).reshape(K * C, O)
+
+
+def _conv(strip: np.ndarray, kernel: np.ndarray, b: np.ndarray | None = None,
           ws: _Workspace | None = None, name: str = "conv"):
-    """Length-preserving convolution of a strip by an (O, C, K) kernel.
+    """Length-preserving convolution of a strip by a kernel given as its
+    (K * C, O) matrix (_kernel).
 
     Row i of the (N, K * C) window matrix, N = B * S - 2 * pad, is the K * C
     contiguous values of strip rows i .. i + K - 1, so the N output rows are
@@ -168,16 +183,16 @@ def _conv(strip: np.ndarray, w: np.ndarray, b: np.ndarray | None = None,
     and the window matrix, which backprop needs for the kernel gradient. Both
     are written into ws under name, or into fresh arrays without one.
     """
-    O, C, K = w.shape
+    KC, O = kernel.shape
     rows = len(strip)
-    n = max(rows - (K - 1), 0)  # an empty batch has no windows
+    n = max(rows - (KC // strip.shape[1] - 1), 0)  # an empty batch has no windows
     ws = ws or _Workspace()
     # overlapping rows of the strip, viewed in place: as_strided builds the
     # same view with more per-call overhead
-    win = ws.take(f"{name}.win", (n, K * C))
-    np.copyto(win, np.ndarray((n, K * C), buffer=strip, strides=strip.strides))
+    win = ws.take(f"{name}.win", (n, KC))
+    np.copyto(win, np.ndarray((n, KC), buffer=strip, strides=strip.strides))
     y = ws.take(f"{name}.out", (rows, O))
-    np.matmul(win, w.transpose(2, 1, 0).reshape(K * C, O), out=y[:n])
+    np.matmul(win, kernel, out=y[:n])
     if b is not None:
         y[:n] += b
     return y, win
@@ -207,7 +222,7 @@ def _conv_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
     convolution run with the kernel flipped along k and its channel axes
     swapped.
     """
-    dx, _ = _conv(dy, w[:, :, ::-1].transpose(1, 0, 2))
+    dx, _ = _conv(dy, _kernel(w[:, :, ::-1].transpose(1, 0, 2)))
     return dx
 
 
@@ -215,10 +230,12 @@ def standardize_batch(x: np.ndarray) -> np.ndarray:
     """Per-window standardization; std floored so constant windows map to 0.
 
     These are np.std's own steps, sharing the centred windows, so the values
-    are the same.
+    are the same; each mean is an add-reduce divided by the count, as in
+    np.mean, without its Python wrapper.
     """
-    centred = x - x.mean(axis=1, keepdims=True)
-    std = np.sqrt((centred * centred).sum(axis=1, keepdims=True) / x.shape[1])
+    L = x.shape[1]
+    centred = x - np.add.reduce(x, 1, keepdims=True) / L
+    std = np.sqrt(np.add.reduce(centred * centred, 1, keepdims=True) / L)
     centred /= np.maximum(std, STD_FLOOR)
     return centred
 
@@ -239,6 +256,29 @@ def _as_batch(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
     return batch
 
 
+def _prepare(params: dict[str, np.ndarray], config: ModelConfig) -> dict[str, np.ndarray]:
+    """The weights forward multiplies by, in the layouts its GEMMs read.
+
+    Each conv kernel becomes its _kernel matrix, under its own name.
+    "gru_w" is the GRU's input weights over their biases, gates (z, r, c)
+    side by side, and "gru_u_zr" the z and r recurrent weights, each a
+    C-ordered block seen transposed, with its z and r parts halved (see the
+    scan); "gru_uc" is the c recurrent weights transposed. A matmul can
+    round differently when a weight's row stride changes, so no two of them
+    share a block.
+    """
+    C, H = config.conv_channels, config.gru_hidden
+    weights = {name: _kernel(w) for name, w in params.items() if w.ndim == 3}
+    w, u_zr = np.empty((C + 1, 3 * H)), np.empty((H, 2 * H))
+    np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1, out=w[:C])
+    np.concatenate([params["gru_bz"], params["gru_br"], params["gru_bc"]], out=w[C])
+    np.concatenate([params["gru_uz"], params["gru_ur"]], axis=1, out=u_zr)
+    w[:, : 2 * H] *= 0.5
+    u_zr *= 0.5
+    weights["gru_w"], weights["gru_u_zr"], weights["gru_uc"] = w.T, u_zr.T, params["gru_uc"].T
+    return weights
+
+
 def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfig,
             *, workspace: _Workspace | None = None):
     """Class probabilities plus the activation cache backprop needs.
@@ -249,11 +289,14 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     cache then aliases it until the next call with the same workspace. The
     cache holds what backward reads, in the layout backward reads it.
     """
-    _check_shapes(params, config)
-    batch = _as_batch(batch, config)
     ws = workspace or _Workspace()
-    x = standardize_batch(batch) if config.standardize else batch
-    B, L = x.shape
+    if ws.params is params:  # checked and prepared once by predict_batch
+        weights = ws.weights
+    else:
+        _check_shapes(params, config)
+        weights = _prepare(params, config)
+    batch = _as_batch(batch, config)
+    B, L = batch.shape
     C, H = config.conv_channels, config.gru_hidden
     stem_pad, pad = config.kernel_size // 2, config.res_kernel // 2
 
@@ -263,8 +306,8 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
         return s, _rows(s, B, L, pad, pad)
 
     x_strip, x_map = strip("stem.in", stem_pad, 1)
-    x_map[:, :, 0] = x
-    y, stem_win = _conv(x_strip, params["stem_w"], params["stem_b"], ws, "stem")
+    x_map[:, :, 0] = standardize_batch(batch) if config.standardize else batch
+    y, stem_win = _conv(x_strip, weights["stem_w"], params["stem_b"], ws, "stem")
     stem_pre = _rows(y, B, L, stem_pad)
     h_strip, h = strip("res0.in", pad, C)
     np.maximum(stem_pre, 0.0, out=h)
@@ -274,11 +317,11 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     # GRU's (L, C + 1, B) input, whose last row holds ones for the biases
     gru_in = ws.take("gru.in", (L, C + 1, B))
     for i in range(config.res_blocks):
-        y1, win1 = _conv(h_strip, params[f"res{i}_w1"], params[f"res{i}_b1"], ws, f"res{i}.1")
+        y1, win1 = _conv(h_strip, weights[f"res{i}_w1"], params[f"res{i}_b1"], ws, f"res{i}.1")
         y1_pre = _rows(y1, B, L, pad)
         mid_strip, mid = strip(f"res{i}.mid", pad, C)
         np.maximum(y1_pre, 0.0, out=mid)
-        y2, win2 = _conv(mid_strip, params[f"res{i}_w2"], params[f"res{i}_b2"], ws, f"res{i}.2")
+        y2, win2 = _conv(mid_strip, weights[f"res{i}_w2"], params[f"res{i}_b2"], ws, f"res{i}.2")
         n = len(win2)
         y2[:n] += h_strip[pad : pad + n]  # the skip: output row r is strip row r + pad
         pre = _rows(y2, B, L, pad)
@@ -291,52 +334,52 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
 
     # gated recurrent scan over the L time steps of channel vectors, feature
     # major: step t's input, state and gates are (features, B) blocks, so
-    # every slice the scan takes is contiguous. The gate weights are stacked
-    # (z, r, c) over their biases, which meet the input's row of ones, so one
+    # every slice the scan takes is contiguous. The gate weights (z, r, c)
+    # sit over their biases, which meet the input's row of ones, so one
     # matmul gives every step's input projections, biases added, before the
-    # scan, and one dot a step's z and r recurrent terms. sigmoid(a) =
-    # (1 + tanh(a / 2)) / 2, and halving the z and r weights and biases once
-    # is exact, so the scan takes tanh of its sums directly. hidden[t] is the
-    # state before step t; zr[t] = (z, r), c[t] and rh[t] = r * hidden[t] are
-    # step t's gates
+    # scan, and the scan adds each step's recurrent terms to them in place:
+    # one dot gives z's and r's. sigmoid(a) = (1 + tanh(a / 2)) / 2, and
+    # _prepare halves the z and r weights and biases, which is exact, so the
+    # scan takes tanh of its sums directly. hidden[t] is the state before
+    # step t, and gates[t] holds step t's z, r and c
     H2 = 2 * H
-    w = np.concatenate([np.vstack([params[f"gru_w{g}"], params[f"gru_b{g}"]]) for g in "zrc"],
-                       axis=1).T
-    w[:H2] *= 0.5
-    u_zr = np.concatenate([params["gru_uz"], params["gru_ur"]], axis=1).T
-    u_zr *= 0.5
-    uc = params["gru_uc"].T
     gru_in[:, C] = 1.0
-    proj = np.matmul(w, gru_in, out=ws.take("gru.proj", (L, 3 * H, B)))
-    hidden = ws.take("gru.hidden", (L + 1, H, B))
-    hidden[0] = 0.0  # a reused buffer holds an earlier block's states
-    zr = ws.take("gru.zr", (L, H2, B))
-    c, rh = ws.take("gru.c", (L, H, B)), ws.take("gru.rh", (L, H, B))
+    gates = np.matmul(weights["gru_w"], gru_in, out=ws.take("gru.gates", (L, 3 * H, B)))
+    # the initial state hidden[0] is never written, so it stays zero for
+    # any later block, as a strip's pad rows do
+    hidden = ws.take("gru.hidden", (L + 1, H, B), zeros=True)
+    zr, c = gates[:, :H2], gates[:, H2:]
+    rh = ws.take("gru.rh", (H, B))  # a step's r * h, which backward recomputes
+    rec = ws.take("gru.rec", (H2, B))  # a step's recurrent terms
+    rec_c, u_zr, uc = rec[:H], weights["gru_u_zr"], weights["gru_uc"]
+    hprev = hidden[0]
     # every step writes into these arrays, so a large batch makes no
     # per-step temporaries
-    for hprev, hnext, zr_t, z, r, c_t, rh_t, proj_zr, proj_c in zip(
-        hidden[:-1], hidden[1:], zr, zr[:, :H], zr[:, H:], c, rh, proj[:, :H2], proj[:, H2:],
-    ):
-        np.dot(u_zr, hprev, out=zr_t)
-        zr_t += proj_zr
+    for hnext, zr_t, z, r, c_t in zip(hidden[1:], zr, zr[:, :H], zr[:, H:], c):
+        np.dot(u_zr, hprev, out=rec)
+        zr_t += rec
         np.tanh(zr_t, out=zr_t)
         zr_t += 1.0
         zr_t *= 0.5
-        np.multiply(r, hprev, out=rh_t)
-        np.dot(uc, rh_t, out=c_t)
-        c_t += proj_c
+        np.multiply(r, hprev, out=rh)
+        np.dot(uc, rh, out=rec_c)
+        c_t += rec_c
         np.tanh(c_t, out=c_t)
         # hnext = (1 - z) * hprev + z * c
         np.subtract(c_t, hprev, out=hnext)
         hnext *= z
         hnext += hprev
-    cache["gru"] = (hidden, zr, c, rh)
+        hprev = hnext
+    cache["gru"] = (hidden, zr, c)
     cache["gru_in"] = gru_in
 
-    logits = hidden[-1].T @ params["head_w"] + params["head_b"]
-    logits -= logits.max(axis=1, keepdims=True)
-    exp = np.exp(logits)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    # a softmax over the two classes, in place; the reductions are the
+    # ufuncs' own, which max and sum call
+    logits = hidden[-1].T @ params["head_w"]
+    logits += params["head_b"]
+    logits -= np.maximum.reduce(logits, 1, keepdims=True)
+    probs = np.exp(logits, out=logits)
+    probs /= np.add.reduce(probs, 1, keepdims=True)
     cache["probs"] = probs
     return probs, cache
 
@@ -368,8 +411,8 @@ def backward(
     dlogits /= B
 
     # the scan's arrays are feature major: hidden is (L + 1, H, B), its first
-    # state the initial zeros; zr is (L, 2H, B), c and rh are (L, H, B)
-    hidden, zr, c, rh = cache["gru"]
+    # state the initial zeros; zr is (L, 2H, B), c is (L, H, B)
+    hidden, zr, c = cache["gru"]
     hprev = hidden[:-1]
     L, H, _ = c.shape
     H2 = 2 * H
@@ -383,6 +426,7 @@ def backward(
     # B), and contracted with the gate inputs after the loop. One dot with
     # [uz, ur] carries dz and dr back together
     z, r = zr[:, :H], zr[:, H:]
+    rh = r * hprev  # the scan's r * h, the same products
     keep = 1.0 - z
     c_factor = z * (1.0 - c * c)
     z_factor = (c - hprev) * z * keep
@@ -548,7 +592,7 @@ def predict_batch(
     """
     _check_shapes(params, config)
     X = _as_batch(X, config)
-    ws = _Workspace()
+    ws = _Workspace(params, _prepare(params, config))
     scores = np.empty(len(X))
     for start in range(0, len(X), PREDICT_BLOCK):
         probs, _ = forward(params, X[start : start + PREDICT_BLOCK], config, workspace=ws)
@@ -592,11 +636,17 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     config = ModelConfig(**config_doc)
     params = {}
     for name, value in payload["params"].items():
+        # float() would read a null as NaN, and a string such as "0.1" or a
+        # bool as a number; bool is an int subclass, so types compare exactly
+        leaves = np.asarray(value, dtype=object)
+        if not all(type(leaf) in (int, float) for leaf in leaves.flat):
+            raise MouseAuthError(f"checkpoint parameter {name} holds a value that is not a JSON number")
         try:
-            params[name] = np.asarray(value, dtype=float)
-        except (TypeError, ValueError):  # an object, a string, a ragged list
-            raise MouseAuthError(f"checkpoint parameter {name} is not a numeric array") from None
-        if not np.isfinite(params[name]).all():  # JSON null reads as NaN, 1e999 as inf
+            array = leaves.astype(float)
+        except OverflowError:  # an integer past the float range
+            array = np.array(np.inf)
+        if not np.isfinite(array).all():  # 1e999 reads as inf
             raise MouseAuthError(f"checkpoint parameter {name} holds a non-finite value")
+        params[name] = array
     _check_shapes(params, config)
     return params, config, payload.get("split")

@@ -262,10 +262,11 @@ def test_eval_checkpoint_with_wrongly_typed_config_exit_code(tmp_path, capsys, e
     assert record["error"] == "MouseAuthError" and next(iter(edit)) in record["message"]
 
 
-@pytest.mark.parametrize("value", ["null", "1e999", '{"a": 1}'])
+@pytest.mark.parametrize("value", ["null", "1e999", '{"a": 1}', '"0.1"', "true"])
 def test_eval_checkpoint_with_a_bad_parameter_exit_code(tmp_path, capsys, value):
     # JSON null reads as NaN and 1e999 as inf, which would score every
-    # window NaN; an object does not convert at all
+    # window NaN; an object does not convert at all, and float() would read
+    # a numeric string or a bool as a number
     ckpt = tmp_path / "model.json"
     config = model.ModelConfig(input_length=30)
     model.save_checkpoint(ckpt, model.init_params(config), config)

@@ -50,6 +50,24 @@ def brute_force_eer(scores, labels):
 
 
 # ---------------------------------------------------------------------------
+# scored sets
+
+
+@pytest.mark.parametrize("scores, labels, message", [
+    ([0.9, np.nan, 0.2, 0.1], [1, 1, 0, 0], "scores must be finite"),
+    ([0.9, np.inf, 0.2, 0.1], [1, 1, 0, 0], "scores must be finite"),
+    ([0.9, 0.8, 0.2, 0.1], [1, 2, 0, 0], "labels must be 0 or 1"),
+    ([0.9, 0.8, 0.2, 0.1], [1, 1, 0.5, 0], "labels must be 0 or 1"),
+    ([0.9, 0.8, 0.2, 0.1], [1, 1, 0, -1], "labels must be 0 or 1"),
+])
+def test_scored_set_rejects_non_finite_scores_and_other_labels(scores, labels, message):
+    # a NaN score used to sort above every other one (roc_auc 1.0 on the
+    # first case) and a label 0.5 to count as an imposter
+    with pytest.raises(MouseAuthError, match=message):
+        ScoredSet(np.array(scores), np.array(labels))
+
+
+# ---------------------------------------------------------------------------
 # f1
 
 

@@ -16,6 +16,7 @@ from mouseauth.model import (
     _conv,
     _conv_adjoint,
     _conv_grads,
+    _kernel,
     adam_step,
     backward,
     batch_from_maus,
@@ -233,18 +234,25 @@ def gru_by_gates(params, xs):
 @pytest.mark.parametrize("B", [1, 4])
 @pytest.mark.parametrize("L", [1, 8])
 def test_gru_scan_matches_gate_by_gate_reference(B, L):
-    config = ModelConfig(input_length=L, conv_channels=3, kernel_size=3, res_blocks=1,
-                         res_kernel=3, gru_hidden=5, seed=B * 10 + L)
-    params = init_params(config)
-    rng = np.random.default_rng(L)
-    for name in ("gru_bz", "gru_br", "gru_bc", "head_b"):  # nonzero biases
-        params[name] = rng.normal(size=params[name].shape)
-    probs, cache = forward(params, rng.normal(size=(B, L)), config)
-    # the GRU's (L, C + 1, B) input holds the conv output over a row of ones
-    xs = cache["gru_in"][:, : config.conv_channels].transpose(0, 2, 1)
-    hidden, ref_probs = gru_by_gates(params, xs)
-    assert np.max(np.abs(cache["gru"][0] - hidden.transpose(0, 2, 1))) <= 1e-12
-    assert np.max(np.abs(probs - ref_probs)) <= 1e-12
+    # one residual block with equal pads, then two whose strips are padded
+    # by 2 after a stem padded by 1
+    for res_blocks, res_kernel in ((1, 3), (2, 5)):
+        config = ModelConfig(input_length=L, conv_channels=3, kernel_size=3,
+                             res_blocks=res_blocks, res_kernel=res_kernel, gru_hidden=5,
+                             seed=B * 10 + L)
+        params = init_params(config)
+        rng = np.random.default_rng(L)
+        for name in ("gru_bz", "gru_br", "gru_bc", "head_b"):  # nonzero biases
+            params[name] = rng.normal(size=params[name].shape)
+        batch = rng.normal(size=(B, L))
+        probs, cache = forward(params, batch, config)
+        # the GRU's (L, C + 1, B) input holds the conv output over a row of ones
+        xs = cache["gru_in"][:, : config.conv_channels].transpose(0, 2, 1)
+        hidden, ref_probs = gru_by_gates(params, xs)
+        assert np.max(np.abs(cache["gru"][0] - hidden.transpose(0, 2, 1))) <= 1e-12
+        assert np.max(np.abs(probs - ref_probs)) <= 1e-12
+        # predict_batch's blocks read the weights it prepared once
+        assert np.array_equal(predict_batch(params, batch, config), probs[:, 1])
 
 
 def test_gradients_match_finite_differences_at_batch_one():
@@ -298,7 +306,7 @@ def test_conv1d_matches_tap_sum_and_its_adjoint(K, B, L):
     b = rng.normal(size=3)
     dy = rng.normal(size=(B, 3, L))
     pad = K // 2
-    out, win = _conv(to_strip(x, pad), w, b)
+    out, win = _conv(to_strip(x, pad), _kernel(w), b)
     y = from_output_rows(out, B, L, pad)
     assert y.shape == (B, 3, L)
     assert np.max(np.abs(y - conv1d_by_taps(x, w, b)), initial=0.0) <= 1e-12
@@ -472,6 +480,23 @@ def test_predict_pure_and_batch_consistent():
         assert np.allclose(batched, single, rtol=0, atol=1e-12), n
     with pytest.raises(MouseAuthError, match="batch must be"):
         predict_batch(params, np.zeros((0, TINY.input_length + 1)), TINY)
+
+
+def test_prepared_weights_do_not_outlive_a_predict_batch_call():
+    # predict_batch prepares the weights once for all its blocks; a
+    # parameter changed in place before the next call must be read afresh
+    params = init_params(TINY)
+    X = tiny_batch(PREDICT_BLOCK + 3, seed=5)
+    before = predict_batch(params, X, TINY)
+    for name in ("stem_w", "res0_w1", "gru_wz", "gru_br", "gru_uz", "gru_uc"):
+        params[name] += 0.25
+        scores = predict_batch(params, X, TINY)
+        # fresh forward passes over the same two blocks
+        fresh = [forward(params, X[start : start + PREDICT_BLOCK], TINY)[0][:, 1]
+                 for start in (0, PREDICT_BLOCK)]
+        assert np.array_equal(scores, np.concatenate(fresh)), name
+        assert not np.array_equal(scores, before), name
+        before = scores
 
 
 def test_predict_memory_does_not_grow_with_rows():
