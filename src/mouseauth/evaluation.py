@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MouseAuthError, is_integer, is_positive_finite
+from .errors import MouseAuthError, are_labels, is_integer, is_positive_finite
 from .mau import Mau
 from . import model as model_mod
 
@@ -34,7 +34,7 @@ class ScoredSet:
         # would truncate to 0: either gives metrics that look valid
         if not np.isfinite(self.scores).all():
             raise MouseAuthError("scores must be finite")
-        if not np.isin(labels, (0, 1)).all():
+        if not are_labels(labels):
             raise MouseAuthError("labels must be 0 or 1")
         self.labels = labels.astype(int)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import MouseAuthError, is_integer, is_positive_finite
+from .errors import MouseAuthError, are_labels, is_integer, is_positive_finite
 
 CHECKPOINT_VERSION = 1
 PROB_FLOOR = 1e-12
@@ -384,12 +384,17 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     return probs, cache
 
 
+def _labels(labels) -> np.ndarray:
+    """labels as ints; MouseAuthError unless each is 0 or 1, as ScoredSet rules."""
+    if not are_labels(labels):
+        raise MouseAuthError("labels must be in {0, 1}")
+    return np.asarray(labels, dtype=int)
+
+
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log probability of the true class."""
     probs = np.asarray(probs, dtype=float)
-    labels = np.asarray(labels, dtype=int)
-    if np.any((labels < 0) | (labels >= probs.shape[1])):
-        raise MouseAuthError("labels must be in {0, 1}")
+    labels = _labels(labels)
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
 
@@ -402,7 +407,7 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of mean cross-entropy w.r.t. every parameter, for
     the batch whose forward pass produced cache."""
-    labels = np.asarray(labels, dtype=int)
+    labels = _labels(labels)
     B = len(cache["probs"])
     if labels.shape != (B,):
         raise MouseAuthError(f"expected {B} labels for the cached batch, got {labels.shape}")
@@ -554,7 +559,7 @@ def train(
     Returns final params and the per-epoch mean training loss.
     """
     X = _as_batch(X, mcfg)
-    y = np.asarray(y, dtype=int)
+    y = _labels(y)  # before the first batch, so no epoch runs on a bad label
     if len(set(y.tolist())) < 2:
         raise MouseAuthError("training data must contain both classes")
 

@@ -161,6 +161,13 @@ def test_cross_entropy_label_range():
         cross_entropy(np.array([[0.5, 0.5]]), [2])
 
 
+@pytest.mark.parametrize("labels", [[0.9], [-1], ["1"]])
+def test_cross_entropy_rejects_labels_that_int_would_convert(labels):
+    # [0.9] used to truncate to class 0 and give -log 0.3 = 1.204
+    with pytest.raises(MouseAuthError, match="labels must be in"):
+        cross_entropy(np.array([[0.3, 0.7]]), labels)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -202,6 +209,13 @@ def test_duplicate_sample_gradient():
     g2 = backward(params, np.array([1, 1]), c2, TINY)
     for name in g1:
         assert np.allclose(g1[name], g2[name], atol=1e-12)
+
+
+def test_backward_rejects_fractional_labels():
+    params = init_params(TINY)
+    _, cache = forward(params, tiny_batch(2, seed=1), TINY)
+    with pytest.raises(MouseAuthError, match="labels must be in"):
+        backward(params, np.array([0.0, 0.5]), cache, TINY)
 
 
 def test_backward_label_count_mismatch():
@@ -445,6 +459,13 @@ def test_train_single_class_rejected():
     y = np.ones(10, dtype=int)
     with pytest.raises(MouseAuthError, match="training data must contain both classes"):
         train(X, y, SEP_CFG, TrainConfig())
+
+
+def test_train_rejects_fractional_labels():
+    # these used to train with 0.5 and 0.7 truncated to imposter labels
+    X = np.zeros((6, 8))
+    with pytest.raises(MouseAuthError, match="labels must be in"):
+        train(X, [0, 1, 0.5, 1, 0.7, 1], SEP_CFG, TrainConfig())
 
 
 def test_train_deterministic():

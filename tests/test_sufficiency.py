@@ -8,6 +8,12 @@ import pytest
 from mouseauth.errors import MouseAuthError
 from mouseauth.kinematics import VelocitySequence
 from mouseauth.sufficiency import (
+    CELLS_PER_BANDWIDTH,
+    KDE_ROWS,
+    KERNEL_CUT,
+    SCREEN_ERROR,
+    _binned_kde,
+    _fft_size,
     _prefix_kl,
     aggregate_user_volume,
     kde,
@@ -125,8 +131,66 @@ def test_kde_memory_does_not_grow_with_samples():
         kde(samples, grid, 0.2)
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.stop()
-    assert peaks[0] > 256 * 1024 * 8  # the kernels of KDE_ROWS samples
+    assert peaks[0] > KDE_ROWS * 1024 * 8  # the kernels of KDE_ROWS samples
     assert peaks[1] < peaks[0] + 64 * 1024
+
+
+def test_kde_matches_the_direct_formula_where_kernels_underflow():
+    # a narrow bandwidth on a wide grid: most kernels underflow to 0, and the
+    # ones about 38 bandwidths from their sample are subnormal
+    samples = gaussian_samples(600, seed=10)
+    grid = np.linspace(-40, 40, 1024)
+    z = (grid[None, :] - samples[:, None]) / 0.05
+    kernels = np.exp(-0.5 * z * z)
+    tiny = np.finfo(float).tiny
+    assert np.mean(kernels < tiny) > 0.9 and np.any((0 < kernels) & (kernels < tiny))
+    want = kernels.sum(axis=0)
+    want *= 1.0 / (math.sqrt(2.0 * math.pi) * 0.05) / len(samples)
+    assert np.array_equal(kde(samples, grid, 0.05).density, want)
+
+
+# ---------------------------------------------------------------------------
+# binned screen
+
+
+def five_smooth(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+def test_fft_size_is_the_next_five_smooth_length():
+    want = {}
+    nxt = 20250  # 2 * 3**4 * 5**3, the first five-smooth number past 20,000
+    for n in range(nxt, 0, -1):
+        if five_smooth(n):
+            nxt = n
+        want[n] = nxt
+    assert all(_fft_size(n) == want[n] for n in range(1, 20001))
+
+
+@pytest.mark.parametrize("points, bandwidth", [(64, 0.3), (64, 0.9), (200, 0.2), (1024, 0.25)])
+def test_binned_kde_matches_a_direct_convolution(points, bandwidth):
+    samples = gaussian_samples(500, seed=6)
+    grid = np.linspace(samples.min() - 1.0, samples.max() + 1.0, points)
+    refine = math.ceil(CELLS_PER_BANDWIDTH * (grid[1] - grid[0]) / bandwidth)
+    fine = (points - 1) * refine + 1
+    spacing = (grid[-1] - grid[0]) / (fine - 1)
+    half = math.ceil(KERNEL_CUT * bandwidth / spacing)
+    length = fine + 2 * half
+    assert _fft_size(length) < 1 << (length - 1).bit_length()  # the next power of two is longer
+    # linear binning and the cut kernel, then the linear convolution itself
+    pos = (samples - grid[0]) / spacing
+    cell = np.minimum(pos.astype(int), fine - 2)
+    counts = np.zeros(fine)
+    np.add.at(counts, cell, 1.0 - (pos - cell))
+    np.add.at(counts, cell + 1, pos - cell)
+    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (spacing / bandwidth)) ** 2)
+    want = np.convolve(counts, kernel)[half : half + fine : refine]
+    want /= math.sqrt(2.0 * math.pi) * bandwidth * len(samples)
+    got = _binned_kde(samples, grid, bandwidth).density
+    assert np.abs(got - want).max() <= 1e-12 * want.max()
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +314,18 @@ def test_screened_scan_keeps_the_exact_n_hat(kind, params, length, seed, n_hat):
         assert steps[-1] + 2 * m > length and not exact_stop(steps[-2])
     else:
         assert exact_stop(n_hat) and not exact_stop(n_hat - m)
+
+
+@pytest.mark.parametrize("kind, params, length, seed", [
+    ("gaussian_iid", IID, 14000, 1), ("sine_plus_noise", SINE, 14000, 1), ("ar1", AR07, 14000, 2),
+])
+def test_screened_steps_stay_within_screen_error(kind, params, length, seed):
+    m = 200
+    v = generate(SynthSpec(kind, params, length, seed)).v
+    report = sufficiency_point(make_vel(v), m, 1e-4, 1e-6)
+    covered = [(n, kl) for n, kl in report.kl_trajectory if n not in report.exact_steps]
+    assert len(covered) > 10
+    assert max(abs(kl - _prefix_kl(v, n, m)) for n, kl in covered) < SCREEN_ERROR
 
 
 def test_far_outlier_step_goes_to_the_judge():
