@@ -385,7 +385,7 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
 
 
 def _labels(labels) -> np.ndarray:
-    """labels as ints; MouseAuthError unless each is 0 or 1, as ScoredSet rules."""
+    """labels as ints; MouseAuthError unless each is 0 or 1, ScoredSet's rule."""
     if not are_labels(labels):
         raise MouseAuthError("labels must be in {0, 1}")
     return np.asarray(labels, dtype=int)
