@@ -30,10 +30,13 @@ KDE_CHUNK = 4096  # samples per block of the exact kde's summation order
 KDE_ROWS = 64  # samples whose kernels the exact kde holds at once
 
 # The screen (_screen_kl) bins each prefix onto a refinement of the shared
-# grid with at least CELLS_PER_BANDWIDTH cells per bandwidth and cuts its
-# Gaussian kernel at KERNEL_CUT bandwidths. It covers a step when every new
-# sample lies within TAIL_BANDWIDTHS small-prefix bandwidths of the small
-# prefix's range and both bandwidths span at least one shared-grid spacing.
+# grid with at least CELLS_PER_BANDWIDTH cells per bandwidth and smooths it
+# by a circular convolution whose wrap-around margin is KERNEL_CUT
+# bandwidths: a kernel's periodic images weigh at most e^-32 on the lattice,
+# the weight of the tail that a kernel cut at KERNEL_CUT would drop. It
+# covers a step when every new sample lies within TAIL_BANDWIDTHS
+# small-prefix bandwidths of the small prefix's range and both bandwidths
+# span at least one shared-grid spacing.
 # On the covered steps of the gate sessions in tests/test_sufficiency.py its
 # KL was off the exact KL by at most 9.6e-8 (1.7e-6 when binning onto the
 # shared grid itself), below SCREEN_ERROR. SCREEN_BAND, the margin around
@@ -103,10 +106,13 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> DensityEstim
     grid = np.asarray(grid, dtype=float)
     if len(samples) == 0:
         raise MouseAuthError("kde needs at least one sample")
-    if bandwidth <= 0:
-        raise MouseAuthError(f"bandwidth must be positive, got {bandwidth}")
-    if np.any(np.diff(grid) <= 0):
-        raise MouseAuthError("grid must be strictly increasing")
+    if not is_positive_finite(bandwidth):
+        raise MouseAuthError(f"bandwidth must be positive and finite, got {bandwidth!r}")
+    # a NaN passes a `diff <= 0` test and an infinite end point a `diff > 0` one
+    if not (np.isfinite(grid).all() and (np.diff(grid) > 0).all()):
+        raise MouseAuthError("grid must be strictly increasing and finite")
+    if not np.isfinite(samples).all():
+        raise MouseAuthError("kde samples must be finite")
     norm = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth)
     density = np.zeros_like(grid)
     # Each block of KDE_CHUNK samples is summed in sample order, then added
@@ -193,9 +199,9 @@ def _fft_size(n: int) -> int:
 def _binned_kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> DensityEstimate:
     """Gaussian KDE on an evenly spaced grid: linear binning onto a
     refinement of the grid with at least CELLS_PER_BANDWIDTH cells per
-    bandwidth, then one FFT convolution with the kernel cut at KERNEL_CUT
-    bandwidths. O(n + G log G) against kde's O(n G). Every sample must lie
-    on the grid."""
+    bandwidth, one real FFT of the counts times the Gaussian's closed-form
+    spectrum, then one inverse FFT at the grid's own rate. O(n + G log G)
+    against kde's O(n G). Every sample must lie on the grid."""
     refine = math.ceil(CELLS_PER_BANDWIDTH * (grid[1] - grid[0]) / bandwidth)
     fine = (len(grid) - 1) * refine + 1
     spacing = (grid[-1] - grid[0]) / (fine - 1)
@@ -203,12 +209,31 @@ def _binned_kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> Dens
     cell = np.minimum(pos.astype(np.intp), fine - 2)
     frac = pos - cell
     counts = np.bincount(cell, 1.0 - frac, fine) + np.bincount(cell + 1, frac, fine)
-    half = math.ceil(KERNEL_CUT * bandwidth / spacing)
-    size = _fft_size(fine + 2 * half)  # no wrap-around
-    kernel = np.exp(-0.5 * (np.arange(-half, half + 1) * (spacing / bandwidth)) ** 2)
-    smooth = np.fft.irfft(np.fft.rfft(counts, size) * np.fft.rfft(kernel, size), size)
-    norm = 1.0 / (math.sqrt(2.0 * math.pi) * bandwidth * len(samples))
-    density = np.maximum(smooth[half : half + fine : refine], 0.0) * norm
+    # The convolution is circular over `length` lattice cells, so a kernel
+    # wraps onto the lattice only past KERNEL_CUT bandwidths.
+    reach = math.ceil(KERNEL_CUT * bandwidth / spacing)
+    size = _fft_size(math.ceil((fine + reach) / refine))
+    length = refine * size
+    # By Poisson summation, bin k of the length-point DFT of the kernel
+    # sampled every `spacing` is sqrt(2 pi) h / spacing times
+    # exp(-2 pi^2 (h k / (spacing length))^2); its other images underflow, as
+    # h spans at least CELLS_PER_BANDWIDTH spacings. From bin `top` on
+    # (about length / 20 at most, far below length / 2) the exponent is
+    # under -746 and the term itself is 0.
+    top = math.ceil(math.sqrt(373.0) / math.pi * spacing * length / bandwidth)
+    freq = np.arange(top) * (bandwidth / (spacing * length))
+    spectrum = np.fft.rfft(counts, length)[:top] * np.exp(-2.0 * math.pi**2 * freq**2)
+    # Grid point t is lattice cell refine * t, whose value is the size-point
+    # inverse of the spectrum folded onto `size` bins: the sum of bins
+    # 0..top-1 by residue plus the conjugate of their mirror images. Bin 0 is
+    # its own mirror, so it enters that sum at half weight.
+    spectrum[0] *= 0.5
+    aliases = np.zeros(-(-top // size) * size, dtype=complex)
+    aliases[:top] = spectrum
+    folded = aliases.reshape(-1, size).sum(axis=0)
+    half = folded[: size // 2 + 1] + folded[-np.arange(size // 2 + 1) % size].conj()
+    smooth = np.fft.irfft(half, size)[: len(grid)]
+    density = np.maximum(smooth, 0.0) * (size / (spacing * length * len(samples)))
     return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth, n=len(samples))
 
 
@@ -271,6 +296,10 @@ def sufficiency_point(
         raise MouseAuthError(
             f"{vel.session_id}: need >= {3 * step_m} samples, have {len(v)}"
         )
+    # a NaN or an infinity would reach the screen's binning and the judge
+    bad = np.flatnonzero(~np.isfinite(v))
+    if len(bad):
+        raise MouseAuthError(f"{vel.session_id}: non-finite speed at sample {bad[0]}")
     report = SufficiencyReport(
         session_id=vel.session_id,
         step_m=step_m,

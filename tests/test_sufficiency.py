@@ -101,6 +101,20 @@ def test_kde_errors():
         kde(np.array([1.0]), np.array([1.0, 0.5]), 1.0)
 
 
+# each of these passed kde's checks and gave NaN, zero or misweighted densities
+@pytest.mark.parametrize("samples, grid, bandwidth, message", [
+    ([1.0], [0.0, 1.0], float("nan"), "bandwidth must be positive and finite"),
+    ([1.0], [0.0, 1.0], float("inf"), "bandwidth must be positive and finite"),
+    ([1.0], [0.0, float("nan"), 1.0], 1.0, "grid must be strictly increasing and finite"),
+    ([1.0], [0.0, float("inf")], 1.0, "grid must be strictly increasing and finite"),
+    ([1.0, float("nan")], [0.0, 1.0], 1.0, "kde samples must be finite"),
+    ([float("-inf"), 1.0], [0.0, 1.0], 1.0, "kde samples must be finite"),
+])
+def test_kde_rejects_non_finite_arguments(samples, grid, bandwidth, message):
+    with pytest.raises(MouseAuthError, match=message):
+        kde(np.array(samples), np.array(grid), bandwidth)
+
+
 def test_kde_normalization():
     samples = gaussian_samples(1000, mean=10, std=2, seed=3)
     h = silverman_bandwidth(samples)
@@ -191,6 +205,18 @@ def test_binned_kde_matches_a_direct_convolution(points, bandwidth):
     want /= math.sqrt(2.0 * math.pi) * bandwidth * len(samples)
     got = _binned_kde(samples, grid, bandwidth).density
     assert np.abs(got - want).max() <= 1e-12 * want.max()
+
+
+@pytest.mark.parametrize("spacings", [1.0, 1.5, 2.0])
+def test_binned_kde_folds_the_spectrum_of_a_narrow_bandwidth(spacings):
+    # a bandwidth of a few grid spacings leaves the Gaussian's spectrum far
+    # from 0 at the grid's Nyquist bin, so reading every refine-th lattice
+    # cell needs the spectrum's aliases summed
+    assert math.exp(-0.5 * (math.pi * spacings) ** 2) > 1e-9
+    samples = gaussian_samples(500, seed=6)
+    points = 200
+    grid = np.linspace(samples.min() - 1.0, samples.max() + 1.0, points)
+    test_binned_kde_matches_a_direct_convolution(points, spacings * (grid[1] - grid[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -342,6 +368,17 @@ def test_sufficiency_validates_params():
         sufficiency_point(vel, step_m=1)
     with pytest.raises(MouseAuthError, match="eps1 and eps2 must be positive"):
         sufficiency_point(vel, step_m=200, eps1=-1.0)
+
+
+# a NaN gave a bare ValueError from the screen's binning, an infinity
+# RuntimeWarnings and then a grid mismatch
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("at", [0, 500])
+def test_sufficiency_rejects_non_finite_speeds(bad, at):
+    v = np.abs(gaussian_samples(1000, mean=10, seed=2))
+    v[at] = bad
+    with pytest.raises(MouseAuthError, match=f"s: non-finite speed at sample {at}$"):
+        sufficiency_point(make_vel(v), step_m=200)
 
 
 # these gave a bare TypeError or ran the scan with a threshold every KL value meets
