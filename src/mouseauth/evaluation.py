@@ -132,6 +132,9 @@ def dsr(attack_scores: np.ndarray, threshold: float = DECISION_THRESHOLD) -> flo
     attack_scores = np.asarray(attack_scores, dtype=float)
     if len(attack_scores) == 0:
         raise MouseAuthError("no attack scores")
+    # a NaN compares false and would count as accepted: ScoredSet's rule
+    if not np.isfinite(attack_scores).all():
+        raise MouseAuthError("attack scores must be finite")
     return float(np.count_nonzero(attack_scores < threshold)) / len(attack_scores)
 
 
@@ -243,8 +246,13 @@ def report_scores(scored: ScoredSet, unseen_mask: list[bool]) -> EvalReport:
     DSR is computed over the unseen-user samples (unseen_mask, aligned with
     the scores) only, at DECISION_THRESHOLD and again at the EER threshold.
     """
+    unseen_mask = np.asarray(unseen_mask, dtype=bool)
+    if unseen_mask.shape != scored.scores.shape:
+        raise MouseAuthError(
+            f"unseen_mask has {len(unseen_mask)} entries for {len(scored.scores)} scores"
+        )
     eer_value, eer_thr = eer(scored)
-    unseen_scores = scored.scores[np.asarray(unseen_mask, dtype=bool)]
+    unseen_scores = scored.scores[unseen_mask]
     report = EvalReport(
         f1=f1_score(scored),
         auc=roc_auc(scored),

@@ -351,31 +351,38 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     zr, c = gates[:, :H2], gates[:, H2:]
     rh = ws.take("gru.rh", (H, B))  # a step's r * h, which backward recomputes
     rec = ws.take("gru.rec", (H2, B))  # a step's recurrent terms
-    rec_c, u_zr, uc = rec[:H], weights["gru_u_zr"], weights["gru_uc"]
+    rec_c, dot_zr, dot_c = rec[:H], weights["gru_u_zr"].dot, weights["gru_uc"].dot
     hprev = hidden[0]
     # every step writes into these arrays, so a large batch makes no
-    # per-step temporaries
+    # per-step temporaries. At one row each call costs far more than its
+    # arithmetic, so the calls are made as cheap as numpy allows, with the
+    # same values: ndarray.dot skips np.dot's dispatch, the ufuncs are local
+    # names with positional outputs, and the sigmoid's 1 and 1/2 are 0-d
+    # arrays, which a call need not convert as it does a Python float
+    add, multiply, subtract, tanh = np.add, np.multiply, np.subtract, np.tanh
+    one, half = np.array(1.0), np.array(0.5)
     for hnext, zr_t, z, r, c_t in zip(hidden[1:], zr, zr[:, :H], zr[:, H:], c):
-        np.dot(u_zr, hprev, out=rec)
-        zr_t += rec
-        np.tanh(zr_t, out=zr_t)
-        zr_t += 1.0
-        zr_t *= 0.5
-        np.multiply(r, hprev, out=rh)
-        np.dot(uc, rh, out=rec_c)
-        c_t += rec_c
-        np.tanh(c_t, out=c_t)
+        dot_zr(hprev, rec)
+        add(zr_t, rec, zr_t)
+        tanh(zr_t, zr_t)
+        add(zr_t, one, zr_t)
+        multiply(zr_t, half, zr_t)
+        multiply(r, hprev, rh)
+        dot_c(rh, rec_c)
+        add(c_t, rec_c, c_t)
+        tanh(c_t, c_t)
         # hnext = (1 - z) * hprev + z * c
-        np.subtract(c_t, hprev, out=hnext)
-        hnext *= z
-        hnext += hprev
+        subtract(c_t, hprev, hnext)
+        multiply(hnext, z, hnext)
+        add(hnext, hprev, hnext)
         hprev = hnext
     cache["gru"] = (hidden, zr, c)
     cache["gru_in"] = gru_in
 
-    # a softmax over the two classes, in place; the reductions are the
-    # ufuncs' own, which max and sum call
-    logits = hidden[-1].T @ params["head_w"]
+    # a softmax over the two classes, in place; ndarray.dot gives the
+    # product's values at less cost per call than @, and the reductions are
+    # the ufuncs' own, which max and sum call
+    logits = hidden[-1].T.dot(params["head_w"])
     logits += params["head_b"]
     logits -= np.maximum.reduce(logits, 1, keepdims=True)
     probs = np.exp(logits, out=logits)
@@ -444,13 +451,13 @@ def backward(
         dg = dgate[t]
         np.multiply(dh, c_factor[t], out=dg[H2:])
         np.multiply(dh, z_factor[t], out=dg[:H])
-        np.dot(uc, dg[H2:], out=drh)
+        uc.dot(dg[H2:], drh)
         np.multiply(drh, r_factor[t], out=dg[H:H2])
         # dh <- dh (1 - z) + d(rh) r + [uz, ur] [dz; dr]
         dh *= keep[t]
         drh *= r[t]
         dh += drh
-        dh += np.dot(u_zr, dg[:H2], out=drh)
+        dh += u_zr.dot(dg[:H2], drh)
 
     # each weight gradient sums a per-step product over the steps; the
     # input's row of ones gives the bias gradients in the last column

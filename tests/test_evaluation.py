@@ -10,6 +10,7 @@ from mouseauth.evaluation import (
     dsr,
     eer,
     f1_score,
+    report_scores,
     roc_auc,
     roc_curve_csv,
 )
@@ -205,6 +206,13 @@ def test_dsr_empty():
         dsr(np.array([]), 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dsr_rejects_non_finite_scores(bad):
+    # a NaN compares false against the threshold, so it would count as accepted
+    with pytest.raises(MouseAuthError, match="attack scores must be finite"):
+        dsr([bad, 0.1, 0.9])
+
+
 # ---------------------------------------------------------------------------
 # splits
 
@@ -293,6 +301,13 @@ def test_blind_attack_zero_head_model():
     report = blind_attack_eval(params, split, cfg)
     assert report.auc == 0.5  # all scores 0.5: every pair ties
     assert report.dsr is not None and report.dsr_at_eer is not None
+
+
+@pytest.mark.parametrize("mask", [[True, False, True], [False] * 5])
+def test_report_scores_rejects_an_unseen_mask_of_another_length(mask):
+    s = scored([0.9, 0.1, 0.8, 0.3], [1, 0, 1, 0])
+    with pytest.raises(MouseAuthError, match=f"unseen_mask has {len(mask)} entries for 4 scores"):
+        report_scores(s, mask)
 
 
 def brute_force_roc_csv(scores, labels):

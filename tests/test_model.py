@@ -503,6 +503,28 @@ def test_predict_pure_and_batch_consistent():
         predict_batch(params, np.zeros((0, TINY.input_length + 1)), TINY)
 
 
+@pytest.mark.parametrize("config", [
+    TINY,
+    # the benchmark's decision model
+    ModelConfig(input_length=30, conv_channels=8, kernel_size=5, res_blocks=1,
+                res_kernel=3, gru_hidden=16, seed=0),
+], ids=["tiny", "benchmark"])
+def test_predict_and_predict_batch_equal_forward_exactly(config):
+    # one decision and one block of rows are each one forward pass over the
+    # same weights, so the scores are forward's, to the last bit
+    params = init_params(config)
+    rng = np.random.default_rng(config.input_length)
+    for name in ("stem_b", "res0_b2", "gru_bz", "gru_br", "gru_bc", "head_b"):
+        params[name] = rng.normal(size=params[name].shape)
+    X = rng.normal(10.0, 3.0, size=(PREDICT_BLOCK, config.input_length))
+    for row in X[:8]:
+        assert np.array_equal(predict(params, row, config),
+                              forward(params, row[None], config)[0][0, 1])
+    for n in range(1, PREDICT_BLOCK + 1):
+        assert np.array_equal(predict_batch(params, X[:n], config),
+                              forward(params, X[:n], config)[0][:, 1]), n
+
+
 def test_prepared_weights_do_not_outlive_a_predict_batch_call():
     # predict_batch prepares the weights once for all its blocks; a
     # parameter changed in place before the next call must be read afresh

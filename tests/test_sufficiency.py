@@ -192,8 +192,9 @@ def test_binned_kde_matches_a_direct_convolution(points, bandwidth):
     fine = (points - 1) * refine + 1
     spacing = (grid[-1] - grid[0]) / (fine - 1)
     half = math.ceil(KERNEL_CUT * bandwidth / spacing)
-    length = fine + 2 * half
-    assert _fft_size(length) < 1 << (length - 1).bit_length()  # the next power of two is longer
+    # _binned_kde's circular transform covers the lattice and the kernel's
+    # reach past it, so no kernel wraps onto the grid
+    assert refine * _fft_size(math.ceil((fine + half) / refine)) >= fine + half
     # linear binning and the cut kernel, then the linear convolution itself
     pos = (samples - grid[0]) / spacing
     cell = np.minimum(pos.astype(int), fine - 2)
