@@ -20,6 +20,11 @@ LEGIT, IMPOSTER = 1, 0
 DECISION_THRESHOLD = 0.5
 
 
+def _require_finite(values, what: str):
+    if not np.isfinite(values).all():
+        raise MouseAuthError(f"{what} must be finite")
+
+
 @dataclass
 class ScoredSet:
     scores: np.ndarray
@@ -32,8 +37,7 @@ class ScoredSet:
             raise MouseAuthError("scores and labels must have equal length")
         # a NaN score sorts after every other score, and a label such as 0.5
         # would truncate to 0: either gives metrics that look valid
-        if not np.isfinite(self.scores).all():
-            raise MouseAuthError("scores must be finite")
+        _require_finite(self.scores, "scores")
         if not are_labels(labels):
             raise MouseAuthError("labels must be 0 or 1")
         self.labels = labels.astype(int)
@@ -58,6 +62,8 @@ def _require_both_classes(scored: ScoredSet):
 
 
 def confusion_counts(scored: ScoredSet, threshold: float) -> dict:
+    # a NaN threshold would reject every sample, an infinite one decide all alike
+    _require_finite(threshold, "threshold")
     accept = scored.scores >= threshold
     legit = scored.labels == LEGIT
     return {
@@ -133,8 +139,8 @@ def dsr(attack_scores: np.ndarray, threshold: float = DECISION_THRESHOLD) -> flo
     if len(attack_scores) == 0:
         raise MouseAuthError("no attack scores")
     # a NaN compares false and would count as accepted: ScoredSet's rule
-    if not np.isfinite(attack_scores).all():
-        raise MouseAuthError("attack scores must be finite")
+    _require_finite(attack_scores, "attack scores")
+    _require_finite(threshold, "threshold")
     return float(np.count_nonzero(attack_scores < threshold)) / len(attack_scores)
 
 

@@ -25,7 +25,7 @@ STD_FLOOR = 1e-8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
-# rows per forward call in predict_batch: a larger block grows memory, not speed
+# rows per layer pass in predict_batch: a larger block grows memory, not speed
 PREDICT_BLOCK = 128
 
 
@@ -124,24 +124,18 @@ def _check_shapes(params: dict[str, np.ndarray], config: ModelConfig):
 # layers
 
 class _Workspace:
-    """Named buffers that forward writes its activations into.
+    """Named buffers that _forward writes its activations into.
 
     A buffer is allocated when its name is first taken and reused by every
-    later take that fits, so forward over row blocks, largest first,
+    later take that fits, so _forward over row blocks, largest first,
     allocates once. A taken array is a C-ordered prefix of its buffer, valid
     until the name is taken again. A conv strip keeps the zeros of its pad
     rows, and the GRU its zero initial state, by never writing them: they
     sit at the same offsets for any batch size.
-
-    predict_batch also hands its blocks the params it checked and their
-    _prepare'd weights, which forward then reads instead of checking and
-    preparing them again; they live as long as that one call's workspace.
     """
 
-    def __init__(self, params: dict[str, np.ndarray] | None = None,
-                 weights: dict[str, np.ndarray] | None = None):
+    def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
-        self.params, self.weights = params, weights
 
     def take(self, name: str, shape: tuple[int, ...], zeros: bool = False) -> np.ndarray:
         buf = self._buffers.get(name)
@@ -257,9 +251,10 @@ def _as_batch(batch: np.ndarray, config: ModelConfig) -> np.ndarray:
 
 
 def _prepare(params: dict[str, np.ndarray], config: ModelConfig) -> dict[str, np.ndarray]:
-    """The weights forward multiplies by, in the layouts its GEMMs read.
+    """The weights _forward reads, in the layouts its GEMMs read.
 
-    Each conv kernel becomes its _kernel matrix, under its own name.
+    Each conv kernel becomes its _kernel matrix, under its own name; the
+    other parameters, the biases and the head among them, pass through.
     "gru_w" is the GRU's input weights over their biases, gates (z, r, c)
     side by side, and "gru_u_zr" the z and r recurrent weights, each a
     C-ordered block seen transposed, with its z and r parts halved (see the
@@ -268,7 +263,7 @@ def _prepare(params: dict[str, np.ndarray], config: ModelConfig) -> dict[str, np
     share a block.
     """
     C, H = config.conv_channels, config.gru_hidden
-    weights = {name: _kernel(w) for name, w in params.items() if w.ndim == 3}
+    weights = {name: _kernel(w) if w.ndim == 3 else w for name, w in params.items()}
     w, u_zr = np.empty((C + 1, 3 * H)), np.empty((H, 2 * H))
     np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1, out=w[:C])
     np.concatenate([params["gru_bz"], params["gru_br"], params["gru_bc"]], out=w[C])
@@ -279,23 +274,20 @@ def _prepare(params: dict[str, np.ndarray], config: ModelConfig) -> dict[str, np
     return weights
 
 
-def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfig,
-            *, workspace: _Workspace | None = None):
+def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfig):
     """Class probabilities plus the activation cache backprop needs.
 
-    batch is (B, input_length); rows are standardized here when the config
-    asks for it. Activations are written into fresh arrays, or into
-    workspace when one is given (predict_batch's blocks); the returned
-    cache then aliases it until the next call with the same workspace. The
-    cache holds what backward reads, in the layout backward reads it.
+    batch is (B, input_length), its rows standardized here when the config
+    asks; the cache holds what backward reads, in the layout it reads it.
     """
-    ws = workspace or _Workspace()
-    if ws.params is params:  # checked and prepared once by predict_batch
-        weights = ws.weights
-    else:
-        _check_shapes(params, config)
-        weights = _prepare(params, config)
-    batch = _as_batch(batch, config)
+    _check_shapes(params, config)
+    return _forward(_prepare(params, config), _as_batch(batch, config), config, _Workspace())
+
+
+def _forward(weights: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfig,
+             ws: _Workspace):
+    """forward's layers over _prepare'd weights and a checked batch; the
+    activations, and so the returned cache, live in ws until its next use."""
     B, L = batch.shape
     C, H = config.conv_channels, config.gru_hidden
     stem_pad, pad = config.kernel_size // 2, config.res_kernel // 2
@@ -307,7 +299,7 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
 
     x_strip, x_map = strip("stem.in", stem_pad, 1)
     x_map[:, :, 0] = standardize_batch(batch) if config.standardize else batch
-    y, stem_win = _conv(x_strip, weights["stem_w"], params["stem_b"], ws, "stem")
+    y, stem_win = _conv(x_strip, weights["stem_w"], weights["stem_b"], ws, "stem")
     stem_pre = _rows(y, B, L, stem_pad)
     h_strip, h = strip("res0.in", pad, C)
     np.maximum(stem_pre, 0.0, out=h)
@@ -317,11 +309,11 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     # GRU's (L, C + 1, B) input, whose last row holds ones for the biases
     gru_in = ws.take("gru.in", (L, C + 1, B))
     for i in range(config.res_blocks):
-        y1, win1 = _conv(h_strip, weights[f"res{i}_w1"], params[f"res{i}_b1"], ws, f"res{i}.1")
+        y1, win1 = _conv(h_strip, weights[f"res{i}_w1"], weights[f"res{i}_b1"], ws, f"res{i}.1")
         y1_pre = _rows(y1, B, L, pad)
         mid_strip, mid = strip(f"res{i}.mid", pad, C)
         np.maximum(y1_pre, 0.0, out=mid)
-        y2, win2 = _conv(mid_strip, weights[f"res{i}_w2"], params[f"res{i}_b2"], ws, f"res{i}.2")
+        y2, win2 = _conv(mid_strip, weights[f"res{i}_w2"], weights[f"res{i}_b2"], ws, f"res{i}.2")
         n = len(win2)
         y2[:n] += h_strip[pad : pad + n]  # the skip: output row r is strip row r + pad
         pre = _rows(y2, B, L, pad)
@@ -382,8 +374,8 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     # a softmax over the two classes, in place; ndarray.dot gives the
     # product's values at less cost per call than @, and the reductions are
     # the ufuncs' own, which max and sum call
-    logits = hidden[-1].T.dot(params["head_w"])
-    logits += params["head_b"]
+    logits = hidden[-1].T.dot(weights["head_w"])
+    logits += weights["head_b"]
     logits -= np.maximum.reduce(logits, 1, keepdims=True)
     probs = np.exp(logits, out=logits)
     probs /= np.add.reduce(probs, 1, keepdims=True)
@@ -391,17 +383,20 @@ def forward(params: dict[str, np.ndarray], batch: np.ndarray, config: ModelConfi
     return probs, cache
 
 
-def _labels(labels) -> np.ndarray:
-    """labels as ints; MouseAuthError unless each is 0 or 1, ScoredSet's rule."""
+def _labels(labels, rows: int, batch: str = "batch") -> np.ndarray:
+    """labels as ints; MouseAuthError unless there is one per row, each 0 or 1."""
     if not are_labels(labels):
         raise MouseAuthError("labels must be in {0, 1}")
-    return np.asarray(labels, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    if labels.shape != (rows,):
+        raise MouseAuthError(f"expected {rows} labels for the {batch}, got {labels.shape}")
+    return labels
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     """Mean negative log probability of the true class."""
     probs = np.asarray(probs, dtype=float)
-    labels = _labels(labels)
+    labels = _labels(labels, len(probs))
     picked = probs[np.arange(len(labels)), labels]
     return float(-np.mean(np.log(np.maximum(picked, PROB_FLOOR))))
 
@@ -414,10 +409,8 @@ def backward(
 ) -> dict[str, np.ndarray]:
     """Analytic gradients of mean cross-entropy w.r.t. every parameter, for
     the batch whose forward pass produced cache."""
-    labels = _labels(labels)
     B = len(cache["probs"])
-    if labels.shape != (B,):
-        raise MouseAuthError(f"expected {B} labels for the cached batch, got {labels.shape}")
+    labels = _labels(labels, B, "cached batch")
     dlogits = cache["probs"].copy()
     dlogits[np.arange(B), labels] -= 1.0
     dlogits /= B
@@ -566,7 +559,7 @@ def train(
     Returns final params and the per-epoch mean training loss.
     """
     X = _as_batch(X, mcfg)
-    y = _labels(y)  # before the first batch, so no epoch runs on a bad label
+    y = _labels(y, len(X))  # before the first batch, so no epoch runs on a bad label
     if len(set(y.tolist())) < 2:
         raise MouseAuthError("training data must contain both classes")
 
@@ -589,8 +582,7 @@ def train(
 
 def predict(params: dict[str, np.ndarray], mau, config: ModelConfig) -> float:
     """Probability that one MAU belongs to the legitimate user (class 1)."""
-    values = np.asarray(getattr(mau, "values", mau), dtype=float)
-    return float(predict_batch(params, values[None, :], config)[0])
+    return float(predict_batch(params, [getattr(mau, "values", mau)], config)[0])
 
 
 def predict_batch(
@@ -598,16 +590,15 @@ def predict_batch(
 ) -> np.ndarray:
     """Class 1 probability of every row of X.
 
-    Rows go through forward in blocks of PREDICT_BLOCK over one workspace,
-    so memory does not grow with the rows. Each row's score is computed
-    from that row alone.
+    The params are checked and laid out once per call, and the rows go
+    through forward's layers in blocks of PREDICT_BLOCK over one workspace,
+    so memory does not grow with the rows; a row's score depends on it alone.
     """
     _check_shapes(params, config)
-    X = _as_batch(X, config)
-    ws = _Workspace(params, _prepare(params, config))
+    weights, X, ws = _prepare(params, config), _as_batch(X, config), _Workspace()
     scores = np.empty(len(X))
     for start in range(0, len(X), PREDICT_BLOCK):
-        probs, _ = forward(params, X[start : start + PREDICT_BLOCK], config, workspace=ws)
+        probs, _ = _forward(weights, X[start : start + PREDICT_BLOCK], config, ws)
         scores[start : start + len(probs)] = probs[:, 1]
     return scores
 

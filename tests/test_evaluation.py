@@ -7,6 +7,7 @@ from mouseauth.evaluation import (
     ScoredSet,
     blind_attack_eval,
     build_splits,
+    confusion_counts,
     dsr,
     eer,
     f1_score,
@@ -91,6 +92,16 @@ def test_f1_hand_confusion_matrix():
 def test_f1_empty():
     with pytest.raises(MouseAuthError, match="empty score set"):
         f1_score(scored([], []), 0.5)
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_f1_and_confusion_counts_reject_non_finite_thresholds(threshold):
+    # a NaN threshold used to count every sample as rejected, giving F1 0.0
+    s = scored([0.9, 0.8, 0.1, 0.7, 0.2], [1, 1, 1, 0, 0])
+    with pytest.raises(MouseAuthError, match="threshold must be finite"):
+        f1_score(s, threshold)
+    with pytest.raises(MouseAuthError, match="threshold must be finite"):
+        confusion_counts(s, threshold)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +222,13 @@ def test_dsr_rejects_non_finite_scores(bad):
     # a NaN compares false against the threshold, so it would count as accepted
     with pytest.raises(MouseAuthError, match="attack scores must be finite"):
         dsr([bad, 0.1, 0.9])
+
+
+@pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+def test_dsr_rejects_non_finite_thresholds(threshold):
+    # a NaN threshold used to count every attack as accepted, giving DSR 0.0
+    with pytest.raises(MouseAuthError, match="threshold must be finite"):
+        dsr([0.1, 0.2], threshold)
 
 
 # ---------------------------------------------------------------------------

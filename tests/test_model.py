@@ -168,6 +168,15 @@ def test_cross_entropy_rejects_labels_that_int_would_convert(labels):
         cross_entropy(np.array([[0.3, 0.7]]), labels)
 
 
+@pytest.mark.parametrize("rows, labels", [(1, [0, 1]), (3, [0, 1])])
+def test_cross_entropy_label_count_mismatch(rows, labels):
+    # one row with two labels raised a bare IndexError, and three rows with
+    # two labels gave the loss of the first two rows
+    probs = np.tile([0.3, 0.7], (rows, 1))
+    with pytest.raises(MouseAuthError, match=f"expected {rows} labels for the batch"):
+        cross_entropy(probs, labels)
+
+
 # ---------------------------------------------------------------------------
 # backward
 
@@ -459,6 +468,34 @@ def test_train_single_class_rejected():
     y = np.ones(10, dtype=int)
     with pytest.raises(MouseAuthError, match="training data must contain both classes"):
         train(X, y, SEP_CFG, TrainConfig())
+
+
+@pytest.mark.parametrize("labels", [[0, 1, 0, 1, 0], [0, 1, 0, 1, 0, 1, 1]])
+def test_train_label_count_mismatch(labels):
+    # five labels for six rows raised a bare IndexError in the first epoch,
+    # and seven trained on the first six
+    with pytest.raises(MouseAuthError, match="expected 6 labels for the batch"):
+        train(np.zeros((6, 8)), labels, SEP_CFG, TrainConfig())
+
+
+def test_forward_is_called_once_per_training_batch_and_never_by_decisions(monkeypatch):
+    # the benchmark's tracer wraps the module attribute model.forward, so
+    # its count is the training batches; decisions run the layers directly
+    calls = []
+
+    def counted(params, batch, config):
+        calls.append(len(batch))
+        return forward(params, batch, config)
+
+    monkeypatch.setattr("mouseauth.model.forward", counted)
+    X = np.random.default_rng(0).normal(size=(10, 8))
+    y = [0, 1] * 5
+    params, _ = train(X, y, SEP_CFG, TrainConfig(batch_size=4, epochs=3))
+    assert calls == [4, 4, 2] * 3  # epochs x ceil(10 / 4)
+    calls.clear()
+    predict(params, X[0], SEP_CFG)
+    predict_batch(params, np.zeros((PREDICT_BLOCK + 1, 8)), SEP_CFG)
+    assert calls == []
 
 
 def test_train_rejects_fractional_labels():
