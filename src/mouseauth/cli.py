@@ -160,24 +160,39 @@ def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
     return vels, reports
 
 
-def _load_user_pool(
-    cfg: PipelineConfig, root: Path
-) -> tuple[dict[str, list], dict[str, list]]:
+def _load_corpus(cfg: PipelineConfig, root: Path, legit_user: str):
     """Each subdirectory of root is one user holding session CSV files.
 
-    Returns each user's velocity sequences and the parse report of each file.
+    Returns each user's MAUs of cfg.mau_length, the parse report of each
+    file, and the split record: what the split depends on besides the MAU
+    length, which the checkpoint's config carries. Train records it and eval
+    checks it; its digest covers every speed the MAUs are cut from.
     """
-    pool, parse_reports = {}, {}
+    users, parse_reports, digest = {}, {}, hashlib.sha256()
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         paths = sorted(user_dir.glob("*.csv"))
         if not paths:
             continue
         vels, reports = _sessions_to_velocities(cfg, paths, user_dir.name)
-        pool[user_dir.name] = vels
+        users[user_dir.name] = [m for vel in vels for m in mau.segment(vel, cfg.mau_length)]
         parse_reports[user_dir.name] = [dataclasses.asdict(r) for r in reports]
-    if not pool:
+        for vel in vels:
+            # no path holds a NUL and the count fixes where each array ends,
+            # so no two corpora feed the digest the same bytes
+            digest.update(f"{user_dir.name}\0{vel.session_id}\0{len(vel.v)}\0".encode())
+            digest.update(vel.v.astype("<f8").tobytes())
+    if not users:
         raise ConfigError(f"no per-user subdirectories with CSVs under {root}")
-    return pool, parse_reports
+    record = {"legit_user": legit_user, "seed": cfg.seed, "pos_neg_ratio": cfg.pos_neg_ratio,
+              "unseen_count": cfg.unseen_count, "train_frac": cfg.train_frac,
+              "data_sha256": digest.hexdigest()}
+    return users, parse_reports, record
+
+
+def _build_split(cfg: PipelineConfig, users, legit_user: str) -> evaluation.Split:
+    return evaluation.build_splits(users, legit_user, ratio=cfg.pos_neg_ratio,
+                                   unseen_count=cfg.unseen_count, seed=cfg.seed,
+                                   train_frac=cfg.train_frac)
 
 
 # Each command runs its stage, writes its artifacts to out and returns its
@@ -220,37 +235,13 @@ def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     return f"apen_{args.user}", {"user": args.user, "selected_lengths": selections}
 
 
-def _split_from_pool(cfg: PipelineConfig, pool, legit_user):
-    users = {
-        user: [m for vel in vels for m in mau.segment(vel, cfg.mau_length)]
-        for user, vels in pool.items()
-    }
-    return evaluation.build_splits(
-        users,
-        legit_user,
-        ratio=cfg.pos_neg_ratio,
-        unseen_count=cfg.unseen_count,
-        seed=cfg.seed,
-        train_frac=cfg.train_frac,
-    )
-
-
-def _split_record(cfg: PipelineConfig, legit_user: str, parse_reports) -> dict:
-    """What the split depends on besides the MAU length, which the
-    checkpoint's config carries: train records it and eval checks it."""
-    return {"legit_user": legit_user, "seed": cfg.seed, "pos_neg_ratio": cfg.pos_neg_ratio,
-            "unseen_count": cfg.unseen_count, "train_frac": cfg.train_frac,
-            "parse_reports": parse_reports}
-
-
 def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
-    pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
-    split = _split_from_pool(cfg, pool, args.legit_user)
+    users, parse_reports, record = _load_corpus(cfg, Path(args.data_root), args.legit_user)
+    split = _build_split(cfg, users, args.legit_user)
     X, y = split.train_arrays()
     params, history = model.train(X, y, cfg.model_config(), cfg.train_config())
     checkpoint = out / f"model_{args.legit_user}.json"
-    model.save_checkpoint(checkpoint, params, cfg.model_config(),
-                          split=_split_record(cfg, args.legit_user, parse_reports))
+    model.save_checkpoint(checkpoint, params, cfg.model_config(), split=record)
     (out / f"loss_{args.legit_user}.csv").write_text(
         "epoch,loss\n" + "".join(f"{i},{l!r}\n" for i, l in enumerate(history))
     )
@@ -269,13 +260,13 @@ def cmd_eval(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     if not isinstance(record, dict):
         raise ConfigError(f"{args.checkpoint} records no split to check; train it again")
     cfg.mau_length = mcfg.input_length
-    pool, parse_reports = _load_user_pool(cfg, Path(args.data_root))
-    # any other split could test the model on its own training windows
-    want = _split_record(cfg, args.legit_user, parse_reports)
+    users, parse_reports, want = _load_corpus(cfg, Path(args.data_root), args.legit_user)
+    # any other split could test the model on its own training windows;
+    # checked before the split, which may fail on settings that differ
     differ = sorted(key for key in want if record.get(key) != want[key])
     if differ:
         raise ConfigError(f"{args.checkpoint} was trained on another split: {differ} differ")
-    split = _split_from_pool(cfg, pool, args.legit_user)
+    split = _build_split(cfg, users, args.legit_user)
     X, y = split.test_arrays()
     scored = evaluation.ScoredSet(model.predict_batch(params, X, mcfg), y)
     report = evaluation.report_scores(scored, split.unseen_mask)

@@ -7,7 +7,7 @@ its score reaches the decision threshold. Labels use 1 = legitimate,
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -152,12 +152,12 @@ class Split:
     """Train/test MAU collections for one legitimate user."""
 
     legit_user: str
-    train_maus: list[Mau] = field(default_factory=list)
-    train_labels: list[int] = field(default_factory=list)
-    test_maus: list[Mau] = field(default_factory=list)
-    test_labels: list[int] = field(default_factory=list)
-    unseen_mask: list[bool] = field(default_factory=list)  # aligned with test
-    unseen_users: list[str] = field(default_factory=list)
+    train_maus: list[Mau]
+    train_labels: list[int]
+    test_maus: list[Mau]
+    test_labels: list[int]
+    unseen_mask: list[bool]  # aligned with test
+    unseen_users: list[str]
 
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         return model_mod.batch_from_maus(self.train_maus), np.array(self.train_labels)
@@ -202,8 +202,11 @@ def build_splits(
             f"need >= {2 + unseen_count} users, have {len(users)}"
         )
     rng = np.random.default_rng(seed)
-    unseen_users = list(rng.choice(others, size=unseen_count, replace=False))
+    unseen_users = rng.choice(others, size=unseen_count, replace=False).tolist()
     known = [u for u in others if u not in unseen_users]
+    unseen_maus = [m for u in unseen_users for m in users[u]]
+    if not unseen_maus:  # DSR would have no sample to score
+        raise MouseAuthError(f"unseen users {unseen_users} have no MAUs")
 
     legit_maus = users[legit_user]
     n_train_pos = int(round(train_frac * len(legit_maus)))
@@ -213,26 +216,23 @@ def build_splits(
     train_pos = [legit_maus[i] for i in order[:n_train_pos]]
     test_pos = [legit_maus[i] for i in order[n_train_pos:]]
 
-    imposter_pool = [(u, m) for u in known for m in users[u]]
+    imposter_pool = [m for u in known for m in users[u]]
     n_train_neg = max(1, int(round(n_train_pos / ratio)))
     if len(imposter_pool) <= n_train_neg:
         raise MouseAuthError("not enough known-imposter MAUs for the ratio")
     imp_order = rng.permutation(len(imposter_pool))
-    train_neg = [imposter_pool[i][1] for i in imp_order[:n_train_neg]]
-    test_neg = [imposter_pool[i][1] for i in imp_order[n_train_neg:]]
-    unseen_maus = [m for u in unseen_users for m in users[u]]
+    train_neg = [imposter_pool[i] for i in imp_order[:n_train_neg]]
+    test_neg = [imposter_pool[i] for i in imp_order[n_train_neg:]]
 
-    split = Split(legit_user=legit_user, unseen_users=unseen_users)
-    split.train_maus = train_pos + train_neg
-    split.train_labels = [LEGIT] * len(train_pos) + [IMPOSTER] * len(train_neg)
-    split.test_maus = test_pos + test_neg + unseen_maus
-    split.test_labels = (
-        [LEGIT] * len(test_pos) + [IMPOSTER] * (len(test_neg) + len(unseen_maus))
+    return Split(
+        legit_user=legit_user,
+        train_maus=train_pos + train_neg,
+        train_labels=[LEGIT] * len(train_pos) + [IMPOSTER] * len(train_neg),
+        test_maus=test_pos + test_neg + unseen_maus,
+        test_labels=[LEGIT] * len(test_pos) + [IMPOSTER] * (len(test_neg) + len(unseen_maus)),
+        unseen_mask=[False] * (len(test_pos) + len(test_neg)) + [True] * len(unseen_maus),
+        unseen_users=unseen_users,
     )
-    split.unseen_mask = (
-        [False] * (len(test_pos) + len(test_neg)) + [True] * len(unseen_maus)
-    )
-    return split
 
 
 def blind_attack_eval(

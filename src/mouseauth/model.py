@@ -559,7 +559,11 @@ def train(
     Returns final params and the per-epoch mean training loss.
     """
     X = _as_batch(X, mcfg)
-    y = _labels(y, len(X))  # before the first batch, so no epoch runs on a bad label
+    # before the first batch, so no epoch runs on a bad label or a NaN input,
+    # which would turn every parameter NaN
+    if not np.isfinite(X).all():
+        raise MouseAuthError("training inputs must be finite")
+    y = _labels(y, len(X))
     if len(set(y.tolist())) < 2:
         raise MouseAuthError("training data must contain both classes")
 

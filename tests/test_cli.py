@@ -325,8 +325,10 @@ def test_eval_on_the_training_split_matches_the_library(tmp_path, trained):
 
 
 @pytest.mark.parametrize("change, message", [("seed", "['seed'] differ"),
-                                             ("file removed", "['parse_reports'] differ"),
-                                             ("no record", "records no split")])
+                                             ("file removed", "['data_sha256'] differ"),
+                                             ("value moved", "['data_sha256'] differ"),
+                                             ("no record", "records no split"),
+                                             ("record without digest", "['data_sha256'] differ")])
 def test_eval_on_another_split_is_a_config_error(tmp_path, capsys, trained, change, message):
     # on another split, some test windows are the model's own training
     # windows and the unseen attacker may have been a training imposter
@@ -335,14 +337,39 @@ def test_eval_on_another_split_is_a_config_error(tmp_path, capsys, trained, chan
         cfg_file.write_text(json.dumps({**TINY_TRAIN, "seed": 1}))
     elif change == "file removed":
         (data_root / "u3" / "s1.csv").unlink()
-    else:
+    elif change == "value moved":  # every row still parses: only the digest sees it
+        path = data_root / "u2" / "s0.csv"
+        lines = path.read_text().splitlines()
+        t, x, y = lines[10].split(",")
+        lines[10] = f"{t},{float(x) + 500},{y}"
+        path.write_text("\n".join(lines) + "\n")
+    else:  # no record, or one as earlier versions wrote it
         payload = json.loads(checkpoint.read_text())
-        del payload["split"]
+        if change == "no record":
+            del payload["split"]
+        else:
+            del payload["split"]["data_sha256"]
         checkpoint.write_text(json.dumps(payload))
     assert eval_main(cfg_file, checkpoint, data_root, tmp_path / "eval") == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError" and message in record["message"]
     assert not (tmp_path / "eval" / "eval_u1.json").exists()
+
+
+@pytest.mark.parametrize("legit_user, settings, key", [
+    ("u9", {}, "legit_user"),  # a user the corpus does not hold
+    ("u1", {"unseen_count": 5}, "unseen_count"),  # more than the two other users
+])
+def test_eval_checks_the_record_before_it_splits(tmp_path, capsys, trained, legit_user,
+                                                  settings, key):
+    # building either split fails (exit 1); the record check comes first and names
+    # the setting that differs from training
+    data_root, cfg_file, checkpoint = trained
+    cfg_file.write_text(json.dumps({**TINY_TRAIN, **settings}))
+    assert main(["eval", "--config", str(cfg_file), "--legit-user", legit_user,
+                 "--out", str(tmp_path / "eval"), str(checkpoint), str(data_root)]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and f"['{key}'] differ" in record["message"]
 
 
 def test_eval_has_no_split_flags():

@@ -287,6 +287,16 @@ def test_split_insufficient_users():
         build_splits(users, "u0", unseen_count=1)
 
 
+def test_split_rejects_unseen_users_without_maus():
+    # a session shorter than one MAU left the unseen side empty, and
+    # blind_attack_eval reported dsr None without an error
+    users = make_users(n_users=3)
+    unseen = build_splits(users, "u0", seed=0).unseen_users[0]
+    users[unseen] = []
+    with pytest.raises(MouseAuthError, match=r"unseen users \['u\d'\] have no MAUs"):
+        build_splits(users, "u0", seed=0)
+
+
 @pytest.mark.parametrize("settings, message", [
     ({"ratio": 0}, "pos_neg_ratio must be positive"),  # was a ZeroDivisionError
     ({"ratio": -2.0}, "pos_neg_ratio must be positive"),

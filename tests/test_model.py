@@ -478,6 +478,16 @@ def test_train_label_count_mismatch(labels):
         train(np.zeros((6, 8)), labels, SEP_CFG, TrainConfig())
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_train_rejects_non_finite_inputs(bad):
+    # one NaN made every loss and parameter NaN, and the checkpoint was
+    # written before read_checkpoint refused it
+    X, y = np.random.default_rng(0).normal(size=(20, 8)), [0, 1] * 10
+    X[3, 5] = bad
+    with pytest.raises(MouseAuthError, match="training inputs must be finite"):
+        train(X, y, SEP_CFG, TrainConfig(epochs=2))
+
+
 def test_forward_is_called_once_per_training_batch_and_never_by_decisions(monkeypatch):
     # the benchmark's tracer wraps the module attribute model.forward, so
     # its count is the training batches; decisions run the layers directly
