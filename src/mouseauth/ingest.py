@@ -5,6 +5,7 @@ from __future__ import annotations
 import codecs
 import csv
 import io
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -227,10 +228,13 @@ def load_user(
 
     Files that raise EmptySession are skipped; their report carries zero
     events. A file that cannot be read raises OSError. Raises MouseAuthError
-    if nothing parses.
+    if nothing parses, or if two files share a session id (a file's stem).
     """
     if not paths:
         raise MouseAuthError(f"{user_id}: no input files")
+    repeated = [sid for sid, k in Counter(Path(path).stem for path in paths).items() if k > 1]
+    if repeated:
+        raise MouseAuthError(f"{user_id}: more than one input file for session {repeated[0]}")
     sessions: list[Session] = []
     reports: list[ParseReport] = []
     for path in paths:

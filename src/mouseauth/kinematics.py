@@ -21,9 +21,8 @@ class VelocitySequence:
 
 
 def displacements(session: Session) -> np.ndarray:
-    """Euclidean distance between consecutive cursor positions."""
-    if len(session.t) < 2:
-        raise MouseAuthError(f"{session.session_id}: need >= 2 events")
+    """Euclidean distance between consecutive cursor positions; one event
+    gives none."""
     return np.hypot(np.diff(session.x), np.diff(session.y))
 
 

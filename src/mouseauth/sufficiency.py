@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,14 +29,14 @@ BANDWIDTH_FLOOR = 1e-6
 KDE_CHUNK = 4096  # samples per block of the exact kde's summation order
 KDE_ROWS = 64  # samples whose kernels the exact kde holds at once
 
-# The screen (_screen_kl) bins each prefix onto a refinement of the shared
-# grid with at least CELLS_PER_BANDWIDTH cells per bandwidth and smooths it
-# by a circular convolution whose wrap-around margin is KERNEL_CUT
-# bandwidths: a kernel's periodic images weigh at most e^-32 on the lattice,
-# the weight of the tail that a kernel cut at KERNEL_CUT would drop. It
-# covers a step when every new sample lies within TAIL_BANDWIDTHS
-# small-prefix bandwidths of the small prefix's range and both bandwidths
-# span at least one shared-grid spacing.
+# The screen (_prefix_kl(..., screen=True)) bins each prefix onto a
+# refinement of the shared grid with at least CELLS_PER_BANDWIDTH cells per
+# bandwidth and smooths it by a circular convolution whose wrap-around
+# margin is KERNEL_CUT bandwidths: a kernel's periodic images weigh at most
+# e^-32 on the lattice, the weight of the tail that a kernel cut at
+# KERNEL_CUT would drop. It covers a step when every new sample lies within
+# TAIL_BANDWIDTHS small-prefix bandwidths of the small prefix's range and
+# both bandwidths span at least one shared-grid spacing.
 # On the covered steps of the gate sessions in tests/test_sufficiency.py its
 # KL was off the exact KL by at most 9.6e-8 (1.7e-6 when binning onto the
 # shared grid itself), below SCREEN_ERROR. SCREEN_BAND, the margin around
@@ -53,8 +53,6 @@ SCREEN_BAND = 4 * SCREEN_ERROR
 class DensityEstimate:
     grid: np.ndarray
     density: np.ndarray
-    bandwidth: float
-    n: int
 
 
 @dataclass
@@ -69,12 +67,12 @@ class SufficiencyReport:
 
     session_id: str
     step_m: int
-    kl_trajectory: list[tuple[int, float]] = field(default_factory=list)
-    exact_steps: list[int] = field(default_factory=list)
-    n_hat: int | str = "exhausted"
-    eps1: float = 1e-4
-    eps2: float = 1e-6
-    total_length: int = 0
+    kl_trajectory: list[tuple[int, float]]
+    exact_steps: list[int]
+    n_hat: int | str
+    eps1: float
+    eps2: float
+    total_length: int
 
     @property
     def exhausted(self) -> bool:
@@ -139,7 +137,7 @@ def kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> DensityEstim
             rows[0] = np.add.reduce(rows[: 1 + len(z)], axis=0)
         density += rows[0]
     density *= norm / len(samples)
-    return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth, n=len(samples))
+    return DensityEstimate(grid=grid, density=density)
 
 
 def kl_divergence(p: DensityEstimate, q: DensityEstimate) -> float:
@@ -157,23 +155,6 @@ def kl_divergence(p: DensityEstimate, q: DensityEstimate) -> float:
     if -KL_ZERO_TOL < kl < 0.0:
         kl = 0.0
     return kl
-
-
-def _shared_grid(samples: np.ndarray, h_max: float) -> np.ndarray:
-    lo = samples.min() - GRID_PAD_BANDWIDTHS * h_max
-    hi = samples.max() + GRID_PAD_BANDWIDTHS * h_max
-    return np.linspace(lo, hi, GRID_POINTS)
-
-
-def _prefix_kl(v: np.ndarray, n: int, m: int) -> float:
-    """KL between densities of prefixes n+m and n on a grid shared by both."""
-    big = v[: n + m]
-    h_small = silverman_bandwidth(v[:n])
-    h_big = silverman_bandwidth(big)
-    grid = _shared_grid(big, max(h_small, h_big))
-    p = kde(big, grid, h_big)
-    q = kde(v[:n], grid, h_small)
-    return kl_divergence(p, q)
 
 
 def _five_smooth(limit: int) -> np.ndarray:
@@ -234,18 +215,23 @@ def _binned_kde(samples: np.ndarray, grid: np.ndarray, bandwidth: float) -> Dens
     half = folded[: size // 2 + 1] + folded[-np.arange(size // 2 + 1) % size].conj()
     smooth = np.fft.irfft(half, size)[: len(grid)]
     density = np.maximum(smooth, 0.0) * (size / (spacing * length * len(samples)))
-    return DensityEstimate(grid=grid, density=density, bandwidth=bandwidth, n=len(samples))
+    return DensityEstimate(grid=grid, density=density)
 
 
-def _screen_kl(v: np.ndarray, n: int, m: int) -> float | None:
-    """_prefix_kl from binned densities, or None for a step the screen does
-    not cover: new samples far past the small prefix's range, where its cut
-    kernel tail meets them, or a bandwidth narrower than the grid spacing."""
+def _prefix_kl(v: np.ndarray, n: int, m: int, screen: bool = False) -> float | None:
+    """KL between densities of prefixes n+m and n on a grid shared by both,
+    from the exact kde, or with screen from _binned_kde densities. The
+    screen returns None for a step it does not cover: new samples far past
+    the small prefix's range, where its cut kernel tail meets them, or a
+    bandwidth narrower than the grid spacing."""
     small, big = v[:n], v[: n + m]
     h_small = silverman_bandwidth(small)
     h_big = silverman_bandwidth(big)
+    pad = GRID_PAD_BANDWIDTHS * max(h_small, h_big)
+    grid = np.linspace(big.min() - pad, big.max() + pad, GRID_POINTS)
+    if not screen:
+        return kl_divergence(kde(big, grid, h_big), kde(small, grid, h_small))
     reach = TAIL_BANDWIDTHS * h_small
-    grid = _shared_grid(big, max(h_small, h_big))
     if (
         big.min() < small.min() - reach
         or big.max() > small.max() + reach
@@ -300,13 +286,6 @@ def sufficiency_point(
     bad = np.flatnonzero(~np.isfinite(v))
     if len(bad):
         raise MouseAuthError(f"{vel.session_id}: non-finite speed at sample {bad[0]}")
-    report = SufficiencyReport(
-        session_id=vel.session_id,
-        step_m=step_m,
-        eps1=eps1,
-        eps2=eps2,
-        total_length=len(v),
-    )
     steps = range(step_m, len(v) - step_m + 1, step_m)
     kl: list[float] = []
     exact: set[int] = set()  # indices of the steps the judge decided
@@ -318,10 +297,11 @@ def sufficiency_point(
         exact.add(i)
         return True
 
+    n_hat: int | str = "exhausted"
     i = 0  # the pair of steps i, i + 1 under decision
     while i + 1 < len(steps):
         while len(kl) < i + 2:
-            kl.append(_screen_kl(v, steps[len(kl)], step_m))
+            kl.append(_prefix_kl(v, steps[len(kl)], step_m, screen=True))
             if kl[-1] is None:
                 judge(len(kl) - 1)
         if not {i, i + 1} <= exact and not _settled(kl[i], kl[i + 1], eps1, eps2):
@@ -330,12 +310,19 @@ def sufficiency_point(
                 i -= 1  # step i's value changed: decide the pair before it again
             continue
         if abs(kl[i]) <= eps1 and abs(kl[i + 1] - kl[i]) <= eps2:
-            report.n_hat = steps[i]
+            n_hat = steps[i]
             break
         i += 1
-    report.kl_trajectory = list(zip(steps, kl))
-    report.exact_steps = [steps[j] for j in sorted(exact)]
-    return report
+    return SufficiencyReport(
+        session_id=vel.session_id,
+        step_m=step_m,
+        kl_trajectory=list(zip(steps, kl)),
+        exact_steps=[steps[j] for j in sorted(exact)],
+        n_hat=n_hat,
+        eps1=eps1,
+        eps2=eps2,
+        total_length=len(v),
+    )
 
 
 def aggregate_user_volume(reports: list[SufficiencyReport]) -> tuple[int, list[str]]:

@@ -394,6 +394,20 @@ def test_missing_input_beside_a_good_one_exit_code(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"] == "FileNotFoundError"
 
 
+def test_repeated_session_id_exit_code(tmp_path, capsys):
+    vel = generate(SynthSpec("gaussian_iid", {"mean": 10, "std": 1}, 700, seed=3))
+    paths = []
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        paths.append(tmp_path / name / "s0.csv")
+        paths[-1].write_text(to_session_csv(vel))
+    out = tmp_path / "out"
+    code = main(["sufficiency", "--user", "u1", "--out", str(out), *map(str, paths)])
+    assert code == 1
+    assert "session s0" in json.loads(capsys.readouterr().err.strip())["message"]
+    assert list(out.iterdir()) == []
+
+
 def test_sufficiency_command(tmp_path, capsys):
     vel = generate(SynthSpec("gaussian_iid", {"mean": 10, "std": 1}, 4000, seed=3))
     csv_path = tmp_path / "sess.csv"
@@ -479,6 +493,22 @@ def test_train_eval_report_dropped_rows(tmp_path, capsys):
     checkpoint = str(tmp_path / "out" / "model_u1.json")
     assert main(["eval", *common, checkpoint, str(data_root)]) == 0
     assert json.loads(capsys.readouterr().out.strip())["parse_reports"] == want
+
+
+def test_train_eval_with_a_one_event_session(tmp_path, capsys):
+    data_root = write_corpus(tmp_path / "data", length=2000)
+    (data_root / "u2" / "s9.csv").write_text("t,x,y\n0,0,0\n")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({
+        "mau_length": 20, "epochs": 1, "conv_channels": 2, "kernel_size": 3,
+        "res_blocks": 1, "gru_hidden": 4,
+    }))
+    common = ["--config", str(cfg_file), "--legit-user", "u1", "--out", str(tmp_path / "out")]
+    assert main(["train", *common, str(data_root)]) == 0
+    reports = json.loads(capsys.readouterr().out.strip())["parse_reports"]
+    assert reports["u2"][-1] == {"file": "s9", "events": 1, "dropped": 0}
+    checkpoint = str(tmp_path / "out" / "model_u1.json")
+    assert main(["eval", *common, checkpoint, str(data_root)]) == 0
 
 
 def test_eval_idempotent(tmp_path, capsys):

@@ -150,6 +150,14 @@ def test_load_user_skips_empty_file(tmp_path):
     assert len(skipped) == 1 and skipped[0].file == "empty"
 
 
+def test_load_user_rejects_a_repeated_session_id(tmp_path):
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "s0.csv").write_text("t,x,y\n0,0,0\n1,1,1\n")
+    with pytest.raises(MouseAuthError, match="u: more than one input file for session s0"):
+        load_user([tmp_path / "a" / "s0.csv", tmp_path / "b" / "s0.csv"], SCHEMA, "u")
+
+
 def test_load_user_no_files():
     with pytest.raises(MouseAuthError, match="u: no input files"):
         load_user([], SCHEMA, "u")

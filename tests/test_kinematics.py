@@ -30,10 +30,9 @@ def test_unit_steps():
 
 
 def test_too_short():
-    with pytest.raises(MouseAuthError, match="s: need >= 2 events"):
-        displacements(session_from_xy([(0, 0)]))
-    with pytest.raises(MouseAuthError, match="s: need >= 2 events"):
-        velocity_sequence(session_from_xy([(0, 0)]), dt=1.0)
+    # one event has no neighbour to move from, so it gives no speeds
+    assert len(displacements(session_from_xy([(0, 0)]))) == 0
+    assert len(velocity_sequence(session_from_xy([(0, 0)]), dt=1.0).v) == 0
 
 
 def test_velocity_dt_one():

@@ -343,6 +343,24 @@ def test_screened_scan_keeps_the_exact_n_hat(kind, params, length, seed, n_hat):
         assert exact_stop(n_hat) and not exact_stop(n_hat - m)
 
 
+@pytest.mark.parametrize("kind, params, length, seed, n_hat",
+                         [case for case in EXACT_SCAN_N_HAT if case[-1] != "exhausted"])
+def test_scan_reads_no_sample_past_its_stopping_pair(kind, params, length, seed, n_hat):
+    m = 200
+    v = generate(SynthSpec(kind, params, length, seed)).v
+    full = sufficiency_point(make_vel(v), m, 1e-4, 1e-6)
+    # a session cut just past the stopping pair's samples gives the same scan
+    cut = sufficiency_point(make_vel(v[: n_hat + 2 * m]), m, 1e-4, 1e-6)
+    assert (cut.n_hat, cut.kl_trajectory, cut.exact_steps) == (
+        full.n_hat, full.kl_trajectory, full.exact_steps)
+    # one sample shorter, the stopping pair is out of reach; the last step's
+    # value may stay screened where the full scan judged it
+    short = sufficiency_point(make_vel(v[: n_hat + 2 * m - 1]), m, 1e-4, 1e-6)
+    assert short.exhausted
+    steps = [n for n, _ in short.kl_trajectory]
+    assert steps == [n for n, _ in full.kl_trajectory][: len(steps)]
+
+
 @pytest.mark.parametrize("kind, params, length, seed", [
     ("gaussian_iid", IID, 14000, 1), ("sine_plus_noise", SINE, 14000, 1), ("ar1", AR07, 14000, 2),
 ])
@@ -402,7 +420,8 @@ def test_sufficiency_rejects_malformed_settings(settings, message):
 
 def report_with(n_hat, total, sid="s"):
     return SufficiencyReport(
-        session_id=sid, step_m=200, n_hat=n_hat, total_length=total
+        session_id=sid, step_m=200, kl_trajectory=[], exact_steps=[], n_hat=n_hat,
+        eps1=1e-4, eps2=1e-6, total_length=total,
     )
 
 
