@@ -3,10 +3,12 @@
 # synthesize a corpus, check data sufficiency, pick a MAU length,
 # train a model for one user, and evaluate it.
 #
-# Run from the repo root:  sh demos/04_cli_pipeline.sh
+# Run from the repo root:  sh demos/04_cli_pipeline.sh [work-dir]
+# (a fresh temporary directory when none is given)
 set -e
 
-work=$(mktemp -d)
+work=${1:-$(mktemp -d)}
+mkdir -p "$work"
 echo "working in $work"
 
 cat > "$work/specs.json" <<'EOF'
@@ -42,4 +44,4 @@ mouseauth eval --config "$work/train.json" --legit-user u1 \
     --out "$work/reports" "$work/reports/model_u1.json" "$work/corpus"
 
 echo "artifacts:"
-ls "$work/reports"
+ls -R "$work/reports"

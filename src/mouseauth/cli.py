@@ -1,9 +1,11 @@
 """Command-line entry point: one subcommand per pipeline stage.
 
-Outputs are JSON reports (machine) plus CSV files (plot data). Each
-command's summary is stamped with the config hash and the seed so reruns are
-reproducible, printed, and written to the output directory. Exit codes:
-0 success, 1 failure, 2 invalid config.
+Outputs are JSON reports (machine) plus CSV files (plot data), written to
+the --out directory, which is not part of the config or its hash.
+Per-session files go under <out>/<user>/, as session ids repeat from user
+to user. Each command's summary is stamped with the config hash and the
+seed so reruns are reproducible, printed, and written to the output
+directory. Exit codes: 0 success, 1 failure, 2 invalid config.
 """
 
 from __future__ import annotations
@@ -53,12 +55,9 @@ class PipelineConfig:
     unseen_count: int = 1
     train_frac: float = 0.7
     seed: int = 0
-    out_dir: str = "out"
 
     def validate(self):
-        # the stage that reads a field checks it; no stage reads out_dir
-        if not isinstance(self.out_dir, str):
-            raise ConfigError(f"out_dir must be of type str, got {self.out_dir!r}")
+        # the stage that reads a field checks it
         try:
             self.schema_map()
         except (TypeError, MouseAuthError) as exc:  # a missing or unknown key, a bad value
@@ -79,10 +78,7 @@ class PipelineConfig:
         return ingest.SchemaMap(**self.schema)
 
     def config_hash(self) -> str:
-        # where a run writes does not change what it computes
-        values = dataclasses.asdict(self)
-        del values["out_dir"]
-        blob = json.dumps(values, sort_keys=True)
+        blob = json.dumps(dataclasses.asdict(self), sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
     def model_config(self) -> model.ModelConfig:
@@ -190,6 +186,8 @@ def _load_corpus(cfg: PipelineConfig, root: Path, legit_user: str):
 
 
 def _build_split(cfg: PipelineConfig, users, legit_user: str) -> evaluation.Split:
+    if legit_user not in users:
+        raise ConfigError(f"unknown legitimate user {legit_user!r}: no CSVs for it in the data root")
     return evaluation.build_splits(users, legit_user, ratio=cfg.pos_neg_ratio,
                                    unseen_count=cfg.unseen_count, seed=cfg.seed,
                                    train_frac=cfg.train_frac)
@@ -200,14 +198,16 @@ def _build_split(cfg: PipelineConfig, users, legit_user: str) -> evaluation.Spli
 
 def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     vels, parse_reports = _sessions_to_velocities(cfg, args.inputs, args.user)
+    user_out = out / args.user  # session ids repeat from user to user
+    user_out.mkdir(exist_ok=True)
     reports = []
     for vel in vels:
         report = sufficiency.sufficiency_point(
             vel, step_m=cfg.step_m, eps1=cfg.eps1, eps2=cfg.eps2
         )
         reports.append(report)
-        (out / f"sufficiency_{report.session_id}.json").write_text(report.to_json())
-        (out / f"kl_{report.session_id}.csv").write_text(report.trajectory_csv())
+        (user_out / f"sufficiency_{report.session_id}.json").write_text(report.to_json())
+        (user_out / f"kl_{report.session_id}.csv").write_text(report.trajectory_csv())
     total, flagged = sufficiency.aggregate_user_volume(reports)
     return f"sufficiency_{args.user}", {
         "user": args.user,
@@ -220,6 +220,8 @@ def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
 
 def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     vels, _ = _sessions_to_velocities(cfg, args.inputs, args.user)
+    user_out = out / args.user
+    user_out.mkdir(exist_ok=True)
     selections = []
     for vel in vels:
         profile = mau.apen_profile(
@@ -230,8 +232,8 @@ def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
             slope_threshold=cfg.slope_threshold,
         )
         selections.append(profile.selected_length)
-        (out / f"apen_{vel.session_id}.json").write_text(profile.to_json())
-        (out / f"apen_{vel.session_id}.csv").write_text(profile.profile_csv())
+        (user_out / f"apen_{vel.session_id}.json").write_text(profile.to_json())
+        (user_out / f"apen_{vel.session_id}.csv").write_text(profile.profile_csv())
     return f"apen_{args.user}", {"user": args.user, "selected_lengths": selections}
 
 
@@ -316,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, seed=True):
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--preset", choices=sorted(PRESETS))
-        p.add_argument("--out", dest="out_dir", help="output directory")
+        p.add_argument("--out", default="out", help="output directory")
         if seed:
             p.add_argument("--seed", type=int)
 
@@ -364,7 +366,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args)
-        out = Path(cfg.out_dir)
+        out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         name, summary = args.func(cfg, out, args)
         # stamped after the command has run: eval takes mau_length from its checkpoint

@@ -151,7 +151,6 @@ def dsr(attack_scores: np.ndarray, threshold: float = DECISION_THRESHOLD) -> flo
 class Split:
     """Train/test MAU collections for one legitimate user."""
 
-    legit_user: str
     train_maus: list[Mau]
     train_labels: list[int]
     test_maus: list[Mau]
@@ -225,7 +224,6 @@ def build_splits(
     test_neg = [imposter_pool[i] for i in imp_order[n_train_neg:]]
 
     return Split(
-        legit_user=legit_user,
         train_maus=train_pos + train_neg,
         train_labels=[LEGIT] * len(train_pos) + [IMPOSTER] * len(train_neg),
         test_maus=test_pos + test_neg + unseen_maus,
@@ -250,7 +248,8 @@ def report_scores(scored: ScoredSet, unseen_mask: list[bool]) -> EvalReport:
     """All metrics of one scored test split.
 
     DSR is computed over the unseen-user samples (unseen_mask, aligned with
-    the scores) only, at DECISION_THRESHOLD and again at the EER threshold.
+    the scores) only, at DECISION_THRESHOLD and again at the EER threshold;
+    a mask that selects no sample raises MouseAuthError.
     """
     unseen_mask = np.asarray(unseen_mask, dtype=bool)
     if unseen_mask.shape != scored.scores.shape:
@@ -259,17 +258,15 @@ def report_scores(scored: ScoredSet, unseen_mask: list[bool]) -> EvalReport:
         )
     eer_value, eer_thr = eer(scored)
     unseen_scores = scored.scores[unseen_mask]
-    report = EvalReport(
+    return EvalReport(
         f1=f1_score(scored),
         auc=roc_auc(scored),
         eer=eer_value,
         eer_threshold=eer_thr,
         counts=confusion_counts(scored, DECISION_THRESHOLD),
+        dsr=dsr(unseen_scores),
+        dsr_at_eer=dsr(unseen_scores, eer_thr),
     )
-    if len(unseen_scores):
-        report.dsr = dsr(unseen_scores)
-        report.dsr_at_eer = dsr(unseen_scores, eer_thr)
-    return report
 
 
 def roc_curve_csv(scored: ScoredSet) -> str:

@@ -40,7 +40,7 @@ class ApEnProfile:
     slopes: list[float]
     tolerance_r: float
     selected_length: int
-    converged: bool = True
+    converged: bool
 
     def to_json(self) -> str:
         return json.dumps(asdict(self))
@@ -96,11 +96,8 @@ def _match_counts_by_length(seq: np.ndarray, max_len: int, r: float) -> np.ndarr
 def _phi(counts: np.ndarray, n: int, m: int) -> float:
     """Pincus's phi(m): mean log match fraction of the length-m windows."""
     n_windows = n - m + 1
-    c = counts[m, :n_windows] / n_windows
-    # self-inclusion keeps every count >= 1/n_windows, so the log is
-    # always defined; the floor is a guard only
-    c = np.maximum(c, 1.0 / n_windows)
-    return float(np.mean(np.log(c)))
+    # each count includes the self-match, so the log is always defined
+    return float(np.mean(np.log(counts[m, :n_windows] / n_windows)))
 
 
 def apen(seq: np.ndarray, m: int, r: float) -> float:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from mouseauth.cli import PRESETS, PipelineConfig, build_parser, load_config, main
-from mouseauth import evaluation, model
+from mouseauth import evaluation, mau, model, sufficiency
 from mouseauth.errors import ConfigError
 from mouseauth.ingest import SchemaMap, load_user
 from mouseauth.kinematics import velocity_sequence
@@ -102,8 +102,8 @@ def test_sufficiency_report_names_the_exact_kl_values(tmp_path):
     csv_path.write_text(to_session_csv(vel))
     out = tmp_path / "out"
     assert main(["sufficiency", "--user", "u9", "--out", str(out), str(csv_path)]) == 0
-    report = json.loads((out / "sufficiency_sess.json").read_text())
-    rows = (out / "kl_sess.csv").read_text().splitlines()[1:]
+    report = json.loads((out / "u9" / "sufficiency_sess.json").read_text())
+    rows = (out / "u9" / "kl_sess.csv").read_text().splitlines()[1:]
     kl = {int(n): float(value) for n, value in (row.split(",") for row in rows)}
     assert 2400 in report["exact_steps"] and set(report["exact_steps"]) <= set(kl)
     (session,), _ = load_user([csv_path], SchemaMap("t", "x", "y"), "u9")
@@ -356,6 +356,17 @@ def test_eval_on_another_split_is_a_config_error(tmp_path, capsys, trained, chan
     assert not (tmp_path / "eval" / "eval_u1.json").exists()
 
 
+def test_train_on_an_unknown_legit_user_is_a_config_error(tmp_path, capsys):
+    data_root = write_corpus(tmp_path / "data", length=1500)
+    (data_root / "u4").mkdir()  # a directory without session CSVs holds no user
+    for user in ("u9", "u4"):
+        assert main(["train", "--legit-user", user, "--out", str(tmp_path / "out"),
+                     str(data_root)]) == 2
+        record = json.loads(capsys.readouterr().err.strip())
+        assert record["error"] == "ConfigError" and repr(user) in record["message"]
+        assert not (tmp_path / "out" / f"train_{user}.json").exists()
+
+
 @pytest.mark.parametrize("legit_user, settings, key", [
     ("u9", {}, "legit_user"),  # a user the corpus does not hold
     ("u1", {"unseen_count": 5}, "unseen_count"),  # more than the two other users
@@ -422,7 +433,7 @@ def test_sufficiency_command(tmp_path, capsys):
     assert summary["user"] == "u9"
     assert summary["proper_volume"] <= summary["total_volume"]
     assert (out / "sufficiency_u9.json").exists()
-    assert (out / "kl_sess.csv").read_text().startswith("n,kl")
+    assert (out / "u9" / "kl_sess.csv").read_text().startswith("n,kl")
 
 
 def test_apen_command(tmp_path, capsys):
@@ -439,7 +450,31 @@ def test_apen_command(tmp_path, capsys):
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip())
     assert len(summary["selected_lengths"]) == 1
-    assert (out / "apen_sess.csv").read_text().startswith("length,apen")
+    assert (out / "u1" / "apen_sess.csv").read_text().startswith("length,apen")
+
+
+def test_per_session_files_of_two_users_share_an_out_dir(tmp_path, capsys):
+    # every synth corpus names its sessions s0, s1, ... for every user
+    corpus = write_corpus(tmp_path / "data", users=("u1", "u2"), length=2000, sessions=1)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"candidates": [5, 10, 15, 20], "cap": 1500}))
+    out = tmp_path / "out"
+    for user in ("u1", "u2"):
+        for command in ("sufficiency", "apen"):
+            assert main([command, "--config", str(cfg_file), "--user", user, "--out", str(out),
+                         str(corpus / user / "s0.csv")]) == 0
+    capsys.readouterr()
+    written = {}
+    for user in ("u1", "u2"):
+        (session,), _ = load_user([corpus / user / "s0.csv"], SchemaMap("t", "x", "y"), user)
+        vel = velocity_sequence(session, 0.01)
+        report = sufficiency.sufficiency_point(vel)
+        profile = mau.apen_profile(vel, candidates=[5, 10, 15, 20], cap=1500)
+        written[user] = [(out / user / name).read_text() for name in (
+            "sufficiency_s0.json", "kl_s0.csv", "apen_s0.json", "apen_s0.csv")]
+        assert written[user] == [report.to_json(), report.trajectory_csv(),
+                                 profile.to_json(), profile.profile_csv()]
+    assert all(a != b for a, b in zip(written["u1"], written["u2"]))
 
 
 def test_train_eval_round_trip(tmp_path, capsys):
@@ -633,13 +668,30 @@ def test_parser_subcommands():
 def test_config_hash_stable():
     assert PipelineConfig().config_hash() == PipelineConfig().config_hash()
     assert PipelineConfig().config_hash() != PipelineConfig(seed=1).config_hash()
-    # the output directory is where a run writes, not what it computes
-    assert PipelineConfig().config_hash() == PipelineConfig(out_dir="elsewhere").config_hash()
+
+
+def test_the_output_directory_is_not_in_the_config_hash(tmp_path, capsys):
+    # --out is where a run writes, not what it computes
+    csv_path = tmp_path / "sess.csv"
+    csv_path.write_text(to_session_csv(generate(SynthSpec("gaussian_iid", {}, 800, seed=5))))
+    hashes = []
+    for out in ("a", "b"):
+        assert main(["sufficiency", "--user", "u", "--out", str(tmp_path / out),
+                     str(csv_path)]) == 0
+        hashes.append(json.loads(capsys.readouterr().out.strip())["config_hash"])
+    assert hashes[0] == hashes[1] == PipelineConfig().config_hash()
+
+
+def test_a_config_file_naming_out_dir_exit_code(tmp_path, capsys):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"out_dir": "elsewhere"}))
+    assert main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError" and "out_dir" in record["message"]
 
 
 @pytest.mark.parametrize("command, flag, value, field", [
     ("sufficiency", "--seed", "7", "seed"),
-    ("sufficiency", "--out", "o2", "out_dir"),
     ("sufficiency", "--step-m", "50", "step_m"),
     ("sufficiency", "--eps1", "0.5", "eps1"),
     ("sufficiency", "--eps2", "0.25", "eps2"),

@@ -338,6 +338,12 @@ def test_report_scores_rejects_an_unseen_mask_of_another_length(mask):
         report_scores(s, mask)
 
 
+def test_report_scores_rejects_a_mask_that_selects_no_score():
+    s = scored([0.9, 0.1, 0.8, 0.3], [1, 0, 1, 0])
+    with pytest.raises(MouseAuthError, match="no attack scores"):
+        report_scores(s, [False] * 4)
+
+
 def brute_force_roc_csv(scores, labels):
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
