@@ -3,7 +3,8 @@
 Outputs are JSON reports (machine) plus CSV files (plot data), written to
 the --out directory, which is not part of the config or its hash.
 Per-session files go under <out>/<user>/, as session ids repeat from user
-to user. Each command's summary is stamped with the config hash and the
+to user; a user name is one path component, and no command writes into a
+directory it reads sessions from. Each command's summary is stamped with the config hash and the
 seed so reruns are reproducible, printed, and written to the output
 directory. Exit codes: 0 success, 1 failure, 2 invalid config.
 """
@@ -156,14 +157,35 @@ def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
     return vels, reports
 
 
-def _load_corpus(cfg: PipelineConfig, root: Path, legit_user: str):
+def _user_dirs(out: Path, users, inputs=()) -> list[Path]:
+    """Make <out>/<user> for each user once every user is checked: its name
+    must be one path component, and its directory must hold none of the
+    inputs, as the loader would read the reports written there as sessions."""
+    dirs = [out / user for user in users]
+    input_dirs = {Path(path).resolve().parent for path in inputs}
+    for user, path in zip(users, dirs):
+        if user in ("", ".", "..") or "/" in user:
+            raise ConfigError(f"user name {user!r} is not one path component")
+        if path.resolve() in input_dirs:
+            raise ConfigError(f"{path} holds an input, so its reports would be read "
+                              "as sessions; choose another --out")
+    for path in dirs:
+        path.mkdir(exist_ok=True)
+    return dirs
+
+
+def _load_corpus(cfg: PipelineConfig, root: Path, legit_user: str, out: Path):
     """Each subdirectory of root is one user holding session CSV files.
 
     Returns each user's MAUs of cfg.mau_length, the parse report of each
     file, and the split record: what the split depends on besides the MAU
     length, which the checkpoint's config carries. Train records it and eval
-    checks it; its digest covers every speed the MAUs are cut from.
+    checks it; its digest covers every speed the MAUs are cut from. Raises
+    ConfigError if out is a user directory of root.
     """
+    if out.resolve().parent == root.resolve():
+        raise ConfigError(f"{out} is a user directory of {root}, so its reports would be "
+                          "read as sessions; choose another --out")
     users, parse_reports, digest = {}, {}, hashlib.sha256()
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         paths = sorted(user_dir.glob("*.csv"))
@@ -198,8 +220,7 @@ def _build_split(cfg: PipelineConfig, users, legit_user: str) -> evaluation.Spli
 
 def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     vels, parse_reports = _sessions_to_velocities(cfg, args.inputs, args.user)
-    user_out = out / args.user  # session ids repeat from user to user
-    user_out.mkdir(exist_ok=True)
+    user_out, = _user_dirs(out, [args.user], args.inputs)  # session ids repeat across users
     reports = []
     for vel in vels:
         report = sufficiency.sufficiency_point(
@@ -220,8 +241,7 @@ def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
 
 def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     vels, _ = _sessions_to_velocities(cfg, args.inputs, args.user)
-    user_out = out / args.user
-    user_out.mkdir(exist_ok=True)
+    user_out, = _user_dirs(out, [args.user], args.inputs)
     selections = []
     for vel in vels:
         profile = mau.apen_profile(
@@ -238,7 +258,7 @@ def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
 
 
 def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
-    users, parse_reports, record = _load_corpus(cfg, Path(args.data_root), args.legit_user)
+    users, parse_reports, record = _load_corpus(cfg, Path(args.data_root), args.legit_user, out)
     split = _build_split(cfg, users, args.legit_user)
     X, y = split.train_arrays()
     params, history = model.train(X, y, cfg.model_config(), cfg.train_config())
@@ -262,7 +282,7 @@ def cmd_eval(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     if not isinstance(record, dict):
         raise ConfigError(f"{args.checkpoint} records no split to check; train it again")
     cfg.mau_length = mcfg.input_length
-    users, parse_reports, want = _load_corpus(cfg, Path(args.data_root), args.legit_user)
+    users, parse_reports, want = _load_corpus(cfg, Path(args.data_root), args.legit_user, out)
     # any other split could test the model on its own training windows;
     # checked before the split, which may fail on settings that differ
     differ = sorted(key for key in want if record.get(key) != want[key])
@@ -297,11 +317,10 @@ def load_specs(path: str) -> dict[str, list[synth.SynthSpec]]:
 
 def cmd_synth(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     pool = synth.generate_user_pool(load_specs(args.spec), dt=cfg.dt)
+    users = sorted(pool)
     written = []
-    for user, vels in sorted(pool.items()):
-        user_dir = out / user
-        user_dir.mkdir(parents=True, exist_ok=True)
-        for vel in vels:
+    for user, user_dir in zip(users, _user_dirs(out, users)):
+        for vel in pool[user]:
             path = user_dir / f"{vel.session_id}.csv"
             path.write_text(synth.to_session_csv(vel))
             written.append(str(path))

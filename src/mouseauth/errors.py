@@ -1,10 +1,9 @@
 """Exception classes: one per way a caller handles an error.
 
-The command line exits 2 on a ConfigError and 1 on any other MouseAuthError,
-and ingest.load_user skips a file that raises EmptySession. Every failure
-that no caller tells apart raises MouseAuthError itself; its message says
-what went wrong. The value tests below are shared by the stages that check
-their own settings and inputs.
+The command line exits 2 on a ConfigError and 1 on any other
+MouseAuthError. Every failure that no caller tells apart raises
+MouseAuthError itself; its message says what went wrong. The value tests
+below are shared by the stages that check their own settings and inputs.
 """
 
 import numbers
@@ -19,10 +18,6 @@ class MouseAuthError(Exception):
 
 class ConfigError(MouseAuthError):
     """Pipeline configuration violates a downstream precondition."""
-
-
-class EmptySession(MouseAuthError):
-    """No valid rows survived parsing."""
 
 
 def is_integer(value) -> bool:

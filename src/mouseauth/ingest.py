@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptySession, MouseAuthError
+from .errors import MouseAuthError
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def parse_session(
     csv.field_size_limit(), a negative timestamp, or a timestamp below the
     running maximum are dropped and counted. Duplicate timestamps are kept.
     Bytes are decoded as UTF-8 with errors replaced, and a leading byte-order
-    mark is ignored.
+    mark is ignored. A file with no valid row gives a session with no
+    events, and a 0-byte file one with no rows either.
     """
     errors = "replace"
     if isinstance(data, str):
@@ -80,8 +81,6 @@ def parse_session(
         data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
     # a leading byte-order mark (spreadsheet exports write one) is not data
     data = data.removeprefix(codecs.BOM_UTF8)
-    if not data:
-        raise EmptySession(f"{session_id}: file is empty")
     values = None if b'"' in data or b"\0" in data else _read_plain(data, errors, schema,
                                                                      session_id)
     if values is None:
@@ -98,8 +97,6 @@ def parse_session(
     # over valid rows equals the one over kept rows.
     keep = valid & (t >= np.maximum.accumulate(np.where(valid, t, -np.inf)))
     events = int(np.count_nonzero(keep))
-    if not events:
-        raise EmptySession(f"{session_id}: no valid rows")
     report = ParseReport(file=session_id, events=events, dropped=len(values) - events)
     return Session(user_id, session_id, t[keep], x[keep], y[keep]), report
 
@@ -151,6 +148,8 @@ def _read_plain(data: bytes, errors: str, schema: SchemaMap,
     field such as 1.2.3. One pass over the bytes finds the rows and fields,
     one np.loadtxt call converts the rows whose t, x and y fields hold only
     NUMBER_BYTES, and the csv module reads the other rows."""
+    if not data:  # a 0-byte file: no header and no rows
+        return np.zeros((0, 3))
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     if not data.endswith(b"\n"):
@@ -224,30 +223,21 @@ def load_user(
     schema: SchemaMap,
     user_id: str,
 ) -> tuple[list[Session], list[ParseReport]]:
-    """Parse all session files of one user, in input order.
+    """Parse all session files of one user: one session and one report per
+    path, in input order.
 
-    Files that raise EmptySession are skipped; their report carries zero
-    events. A file that cannot be read raises OSError. Raises MouseAuthError
-    if nothing parses, or if two files share a session id (a file's stem).
+    A file with no valid row gives a session with no events. A file that
+    cannot be read raises OSError. Raises MouseAuthError if no file has an
+    event, or if two files share a session id (a file's stem).
     """
     if not paths:
         raise MouseAuthError(f"{user_id}: no input files")
     repeated = [sid for sid, k in Counter(Path(path).stem for path in paths).items() if k > 1]
     if repeated:
         raise MouseAuthError(f"{user_id}: more than one input file for session {repeated[0]}")
-    sessions: list[Session] = []
-    reports: list[ParseReport] = []
-    for path in paths:
-        path = Path(path)
-        try:
-            session, report = parse_session(
-                path.read_bytes(), schema, user_id, session_id=path.stem
-            )
-        except EmptySession:
-            reports.append(ParseReport(file=path.stem))
-            continue
-        sessions.append(session)
-        reports.append(report)
-    if not sessions:
+    parsed = [parse_session(Path(path).read_bytes(), schema, user_id, session_id=Path(path).stem)
+              for path in paths]
+    sessions, reports = (list(column) for column in zip(*parsed))
+    if not any(report.events for report in reports):
         raise MouseAuthError(f"{user_id}: all {len(paths)} files failed to parse")
     return sessions, reports

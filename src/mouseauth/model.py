@@ -635,12 +635,9 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
         raise MouseAuthError(f"unsupported checkpoint version: {payload.get('version')}")
     if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):
         raise MouseAuthError('checkpoint needs a "config" and a "params" object')
-    config_doc = dict(payload["config"])
-    # checkpoints written before the head was fixed at two classes record it
-    classes = config_doc.pop("classes", 2)
-    if classes != 2 or set(config_doc) != {f.name for f in fields(ModelConfig)}:
+    if set(payload["config"]) != {f.name for f in fields(ModelConfig)}:
         raise MouseAuthError(f"checkpoint config does not match ModelConfig: {payload['config']}")
-    config = ModelConfig(**config_doc)
+    config = ModelConfig(**payload["config"])
     params = {}
     for name, value in payload["params"].items():
         # float() would read a null as NaN, and a string such as "0.1" or a

@@ -546,6 +546,80 @@ def test_train_eval_with_a_one_event_session(tmp_path, capsys):
     assert main(["eval", *common, checkpoint, str(data_root)]) == 0
 
 
+MALFORMED_ROWS = "t,x,y\nbad,0,0\nnan,1,0\n-1,2,0\n"
+
+
+def test_train_eval_count_the_rows_of_files_without_a_valid_row(tmp_path, capsys):
+    # such files are sessions with no events: their rows are counted, and
+    # they add no MAU, so the model and its metrics are the corpus's without them
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(TINY_TRAIN))
+    metrics = {}
+    for name in ("plain", "with"):
+        data_root = write_corpus(tmp_path / name / "data", length=1500)
+        if name == "with":
+            (data_root / "u2" / "bad.csv").write_text(MALFORMED_ROWS)
+            (data_root / "u2" / "empty.csv").write_bytes(b"")
+        common = ["--config", str(cfg_file), "--legit-user", "u1", "--out",
+                  str(tmp_path / name / "out")]
+        summaries = []
+        assert main(["train", *common, str(data_root)]) == 0
+        summaries.append(json.loads(capsys.readouterr().out.strip()))
+        checkpoint = str(tmp_path / name / "out" / "model_u1.json")
+        assert main(["eval", *common, checkpoint, str(data_root)]) == 0
+        summaries.append(json.loads(capsys.readouterr().out.strip()))
+        if name == "with":
+            for summary in summaries:
+                rows = {r["file"]: r["events"] + r["dropped"] for r in summary["parse_reports"]["u2"]}
+                assert (rows["bad"], rows["empty"]) == (3, 0)
+        metrics[name] = json.loads((tmp_path / name / "out" / "eval_u1.json").read_text())
+        del metrics[name]["parse_reports"]
+    assert metrics["with"] == metrics["plain"]
+
+
+def test_sufficiency_names_a_file_without_a_valid_row(tmp_path, capsys):
+    data_root = write_corpus(tmp_path / "data", users=("u1",), length=1500, sessions=1)
+    (data_root / "u1" / "bad.csv").write_text(MALFORMED_ROWS)
+    code = main(["sufficiency", "--user", "u1", "--out", str(tmp_path / "out"),
+                 str(data_root / "u1" / "s0.csv"), str(data_root / "u1" / "bad.csv")])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err.strip())["message"].startswith("bad: need >= 600")
+
+
+def snapshot(root: Path) -> dict:
+    return {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+
+
+@pytest.mark.parametrize("command", ["sufficiency", "train"])
+def test_reports_never_land_where_the_loader_reads(tmp_path, capsys, command):
+    corpus = write_corpus(tmp_path / "corpus", users=("u1", "u2"), length=1500, sessions=1)
+    before = snapshot(corpus)
+    argv = (["sufficiency", "--user", "u1", "--out", str(corpus), str(corpus / "u1" / "s0.csv")]
+            if command == "sufficiency" else
+            ["train", "--legit-user", "u1", "--out", str(corpus / "u2"), str(corpus)])
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert str(corpus / ("u1" if command == "sufficiency" else "u2")) in record["message"]
+    assert snapshot(corpus) == before
+
+
+@pytest.mark.parametrize("command", ["sufficiency", "apen", "synth"])
+@pytest.mark.parametrize("user", ["", ".", "..", "../esc", "a/b"])
+def test_a_user_name_is_one_path_component(tmp_path, capsys, command, user):
+    (tmp_path / "s0.csv").write_text(to_session_csv(
+        generate(SynthSpec("gaussian_iid", {"mean": 10, "std": 1}, 700, seed=3))))
+    spec_file = tmp_path / "specs.json"
+    spec_file.write_text(json.dumps({user: [{"kind": "gaussian_iid", "length": 700}]}))
+    out = tmp_path / "w" / "out"
+    out.mkdir(parents=True)
+    argv = ([command, "--out", str(out), str(spec_file)] if command == "synth" else
+            [command, "--user", user, "--out", str(out), str(tmp_path / "s0.csv")])
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert [p for p in (tmp_path / "w").rglob("*") if p != out] == []
+
+
 def test_eval_idempotent(tmp_path, capsys):
     data_root = write_corpus(tmp_path / "data", length=2000)
     out = tmp_path / "out"

@@ -1,21 +1,20 @@
-"""Callers handle an error in three ways, so the package has three exception
-classes: ConfigError (exit 2), EmptySession (a skipped file) and
-MouseAuthError (everything else, exit 1). A new class nothing tells apart,
-or a raise of a built-in type, fails here."""
+"""Callers handle an error in two ways, so the package has two exception
+classes: ConfigError (exit 2) and MouseAuthError (everything else, exit 1).
+A new class nothing tells apart, or a raise of a built-in type, fails here."""
 
 import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "mouseauth"
-CLASSES = {"ConfigError", "EmptySession", "MouseAuthError"}
+CLASSES = {"ConfigError", "MouseAuthError"}
 
 
-def test_errors_module_defines_three_classes():
+def test_errors_module_defines_two_classes():
     tree = ast.parse((SRC / "errors.py").read_text())
     assert {node.name for node in tree.body if isinstance(node, ast.ClassDef)} == CLASSES
 
 
-def test_every_raise_names_one_of_the_three_classes():
+def test_every_raise_names_one_of_the_two_classes():
     others = []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):

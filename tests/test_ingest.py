@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from mouseauth import ingest
 from mouseauth.cli import PRESETS, main
-from mouseauth.errors import EmptySession, MouseAuthError
+from mouseauth.errors import MouseAuthError
 from mouseauth.ingest import ParseReport, SchemaMap, load_user, parse_session
 from mouseauth.synth import SynthSpec, generate, to_session_csv
 
@@ -56,8 +56,19 @@ def test_malformed_row_skipped():
 
 
 def test_header_only_is_empty():
-    with pytest.raises(EmptySession):
-        parse_session(b"t,x,y\n", SCHEMA, "u", "s")
+    session, report = parse_session(b"t,x,y\n", SCHEMA, "u", "s")
+    assert report == ParseReport("s", events=0, dropped=0)
+    assert session.t.shape == session.x.shape == session.y.shape == (0,)
+
+
+@pytest.mark.parametrize("data, dropped", [
+    (b"", 0), (b"\xef\xbb\xbf", 0), ("", 0), ("\ufeff", 0),  # no header, no rows
+    (b"t,x,y\nbad,0,0\nnan,1,0\n-1,2,0\n", 3),
+])
+def test_a_file_without_a_valid_row_is_a_session_with_no_events(data, dropped):
+    session, report = parse_session(data, SCHEMA, "u", "s")
+    assert report == ParseReport("s", events=0, dropped=dropped)
+    assert session.t.shape == session.x.shape == session.y.shape == (0,)
 
 
 def test_missing_column():
@@ -121,10 +132,7 @@ def test_parse_deterministic():
 )
 def test_monotonicity_and_row_accounting(rows):
     body = "".join(f"{t!r},{x!r},{y!r}\n" for t, x, y in rows)
-    try:
-        session, report = parse_session(("t,x,y\n" + body).encode(), SCHEMA, "u", "s")
-    except EmptySession:
-        return
+    session, report = parse_session(("t,x,y\n" + body).encode(), SCHEMA, "u", "s")
     assert np.all(np.diff(session.t) >= 0)
     assert report.events + report.dropped == len(rows)
 
@@ -139,15 +147,17 @@ def test_load_user_two_files(tmp_path):
     assert len(reports) == 2
 
 
-def test_load_user_skips_empty_file(tmp_path):
+def test_load_user_keeps_a_file_without_a_valid_row(tmp_path):
     (tmp_path / "good.csv").write_text("t,x,y\n0,0,0\n1,1,1\n")
-    (tmp_path / "empty.csv").write_text("t,x,y\n")
+    (tmp_path / "bad.csv").write_text("t,x,y\nbad,0,0\nnan,1,0\n-1,2,0\n")
+    (tmp_path / "empty.csv").write_bytes(b"")
     sessions, reports = load_user(
-        [tmp_path / "good.csv", tmp_path / "empty.csv"], SCHEMA, "u"
+        [tmp_path / "good.csv", tmp_path / "bad.csv", tmp_path / "empty.csv"], SCHEMA, "u"
     )
-    assert len(sessions) == 1
-    skipped = [r for r in reports if r.events == 0]
-    assert len(skipped) == 1 and skipped[0].file == "empty"
+    assert [s.session_id for s in sessions] == ["good", "bad", "empty"]
+    assert [len(s.t) for s in sessions] == [2, 0, 0]
+    assert reports == [ParseReport("good", 2, 0), ParseReport("bad", 0, 3),
+                       ParseReport("empty", 0, 0)]
 
 
 def test_load_user_rejects_a_repeated_session_id(tmp_path):
@@ -239,16 +249,12 @@ def test_parse_matches_row_by_row(case):
     text, names, rows = case
     idx = {name: i for i, name in enumerate(names)}
     kept, dropped = row_by_row(rows, idx["t"], idx["x"], idx["y"])
-    if not kept:
-        with pytest.raises(EmptySession):
-            parse_session(text, SCHEMA, "u", "s")
-        return
     session, report = parse_session(text, SCHEMA, "u", "s")
     assert report == ParseReport("s", events=len(kept), dropped=dropped)
     assert report.dropped + report.events == len(rows)
-    for col, values in zip("txy", zip(*kept)):
-        # bit for bit: -0.0 must stay -0.0
-        assert getattr(session, col).tobytes() == np.array(values, dtype=float).tobytes()
+    # bit for bit: -0.0 must stay -0.0
+    for col, values in zip("txy", np.array(kept, dtype=float).reshape(-1, 3).T):
+        assert getattr(session, col).tobytes() == values.tobytes()
 
 
 # tokens the csv module reads differently from a split at commas: a quote
@@ -293,14 +299,11 @@ def test_parse_matches_the_csv_module_on_quoting_files(case):
             rows.append(["csv error"])
     idx = {name: i for i, name in enumerate(names)}
     kept, dropped = row_by_row(rows, idx["t"], idx["x"], idx["y"])
-    if not kept:
-        with pytest.raises(EmptySession):
-            parse_session(data, SCHEMA, "u", "s")
-        return
     session, report = parse_session(data, SCHEMA, "u", "s")
     assert report == ParseReport("s", events=len(kept), dropped=dropped)
-    for col, values in zip("txy", zip(*kept)):
-        assert getattr(session, col).tobytes() == np.array(values, dtype=float).tobytes()
+    assert report.dropped + report.events == len([row for row in rows if row])  # no blank line
+    for col, values in zip("txy", np.array(kept, dtype=float).reshape(-1, 3).T):
+        assert getattr(session, col).tobytes() == values.tobytes()
 
 
 @settings(max_examples=300)

@@ -621,25 +621,12 @@ def test_checkpoint_roundtrip(tmp_path):
     assert all(np.allclose(loaded[k], params[k], atol=0) for k in params)
 
 
-def test_checkpoint_with_classes_key_loads(tmp_path):
-    # checkpoints from before ModelConfig dropped its classes field carry
-    # "classes": 2 in their config
-    params = init_params(TINY)
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(path, params, TINY)
-    payload = json.loads(path.read_text())
-    payload["config"]["classes"] = 2
-    path.write_text(json.dumps(payload))
-    loaded, cfg = load_checkpoint(path)
-    assert cfg == TINY
-    X = tiny_batch(5, seed=4)
-    assert np.array_equal(predict_batch(loaded, X, cfg), predict_batch(params, X, TINY))
-
-
 @pytest.mark.parametrize("edit", [
     lambda config: config.update(dropout=0.5),
     lambda config: config.pop("gru_hidden"),
     lambda config: config.update(classes=3),
+    # the key checkpoints held before the head was fixed at two classes
+    lambda config: config.update(classes=2),
 ])
 def test_checkpoint_config_keys_checked(tmp_path, edit):
     path = tmp_path / "ckpt.json"
