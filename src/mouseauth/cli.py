@@ -160,7 +160,9 @@ def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
 def _user_dirs(out: Path, users, inputs=()) -> list[Path]:
     """Make <out>/<user> for each user once every user is checked: its name
     must be one path component, and its directory must hold none of the
-    inputs, as the loader would read the reports written there as sessions."""
+    inputs, as the loader would read the reports written there as sessions.
+    Nor may <out> hold an input's directory: it is then that input's corpus
+    root, whose user directories the loader reads."""
     dirs = [out / user for user in users]
     input_dirs = {Path(path).resolve().parent for path in inputs}
     for user, path in zip(users, dirs):
@@ -169,6 +171,9 @@ def _user_dirs(out: Path, users, inputs=()) -> list[Path]:
         if path.resolve() in input_dirs:
             raise ConfigError(f"{path} holds an input, so its reports would be read "
                               "as sessions; choose another --out")
+    if out.resolve() in {path.parent for path in input_dirs}:
+        raise ConfigError(f"{out} is the corpus root of an input, so its reports would be "
+                          "read as sessions; choose another --out")
     for path in dirs:
         path.mkdir(exist_ok=True)
     return dirs

@@ -10,7 +10,8 @@ flattens below a threshold.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +37,26 @@ class Mau:
 
 @dataclass(slots=True)
 class ApEnProfile:
-    candidate_lengths: list[int]
+    candidate_lengths: tuple[int, ...]
     apen_values: list[float]
-    slopes: list[float]
     tolerance_r: float
     selected_length: int
     converged: bool
 
+    @property
+    def slopes(self) -> list[float]:
+        """ApEn's change per unit length from each candidate to the next."""
+        return _slopes(self.candidate_lengths, self.apen_values)
+
     def to_json(self) -> str:
-        return json.dumps(asdict(self))
+        return json.dumps({
+            "candidate_lengths": self.candidate_lengths,
+            "apen_values": self.apen_values,
+            "slopes": self.slopes,
+            "tolerance_r": self.tolerance_r,
+            "selected_length": self.selected_length,
+            "converged": self.converged,
+        })
 
     def profile_csv(self) -> str:
         lines = ["length,apen"] + [
@@ -53,52 +65,79 @@ class ApEnProfile:
         return "\n".join(lines) + "\n"
 
 
-# pairs of windows handled per block of diagonals in _match_counts_by_length,
-# which bounds its working memory at any sequence length
+# pairs of windows handled per block of diagonals in _match_counts, which
+# bounds its working memory at any sequence length
 _PAIRS_PER_BLOCK = 1 << 18
 
 
-def _match_counts_by_length(seq: np.ndarray, max_len: int, r: float) -> np.ndarray:
-    """Self-inclusive match counts of every window at every length, in one pass.
+def _match_counts(seq: np.ndarray, lengths: list[int], r: float) -> np.ndarray:
+    """Self-inclusive match counts of every window at each requested length.
 
-    Row k of the result holds the counts of the n - k + 1 windows of length
-    k (k = 1..max_len) in its first n - k + 1 entries. For a fixed offset
+    Row i of the result holds the counts of the n - k + 1 windows of length
+    k = lengths[i] in its first n - k + 1 entries. For a fixed offset
     d = q - p, windows p and q of length k match in Chebyshev distance
-    exactly when the run of consecutive t >= p with |v[t] - v[t+d]| <= r is
-    at least k long (Pincus 1991; Manis 2008). Each diagonal's runs, clipped
-    at max_len, are histogrammed per window on both sides of the pair; a
-    reverse cumulative sum over run lengths then gives every length's counts.
+    exactly when they lie inside one maximal run of consecutive t with
+    |v[t] - v[t+d]| <= r (Pincus 1991; Manis 2008). A run [a, b) matches the
+    windows p = a..b-k on one side of the pair and p + d on the other, so it
+    adds +1 at a and -1 at b - k + 1 (and the same shifted by d) to length
+    k's difference array; a cumulative sum then gives the counts. Runs are
+    found from their ends, and binned by how many requested lengths they
+    reach, so the work past the close-pair test grows with the runs, not with
+    the lengths.
     """
     n = len(seq)
-    width = max_len + 1
-    hist = np.zeros(width * n, dtype=np.int64)  # hist[j * n + p]: partners with run j
+    ks = np.unique(lengths)
+    width = n + 2
+    # opens[c * width + x]: the runs that reach exactly the c shortest
+    # lengths and open at x, on either side of the pair; shuts: the same runs
+    # at one past their end
+    opens = np.zeros((len(ks) + 1) * width, dtype=np.int64)
+    shuts = np.zeros_like(opens)
     block = max(1, _PAIRS_PER_BLOCK // n)
-    # NaN past the end compares as "not close", which ends every diagonal
+    # NaN past the end compares as "not close": it ends every diagonal, and
+    # the one NaN column past each diagonal keeps runs from joining rows
     padded = np.concatenate([seq, np.full(block, np.nan)])
+    gaps = np.empty(min(block, n) * n)  # one block's |v[t] - v[t+d]|, reused
+    close = np.zeros(len(gaps) + 1, dtype=bool)  # close[0] stays "not close"
     for d0 in range(1, n, block):
-        offsets = np.arange(d0, min(d0 + block, n))
-        span = n - d0  # diagonal d holds the n - d pairs (t, t + d), t < n - d
-        t = np.arange(span)
-        ahead = np.lib.stride_tricks.sliding_window_view(padded[d0:], span)[: len(offsets)]
-        close = np.abs(seq[:span] - ahead) <= r
-        # run length from t = distance to the first t' >= t that is not close
-        stop = np.where(close, span, t)
-        np.minimum.accumulate(stop[:, ::-1], axis=1, out=stop[:, ::-1])
-        runs = np.minimum(stop - t, max_len)
-        rows, cols = np.nonzero(runs)
-        base = runs[rows, cols] * n + cols
-        hist += np.bincount(base, minlength=width * n)
-        hist += np.bincount(base + offsets[rows], minlength=width * n)
-    counts = hist.reshape(width, n)[::-1].cumsum(axis=0)[::-1]
+        # diagonal d holds the n - d pairs (t, t + d), t < n - d, then NaNs
+        span = n - d0 + 1
+        rows = min(block, n - d0)
+        size = rows * span
+        ahead = np.lib.stride_tricks.sliding_window_view(padded[d0:], span)[:rows]
+        gap = gaps[:size].reshape(rows, span)
+        np.abs(np.subtract(padded[:span], ahead, out=gap), out=gap)
+        np.less_equal(gap, r, out=close[1 : size + 1].reshape(rows, span))
+        # run starts and stops in turn, as flat indices into the block
+        ends = np.flatnonzero(np.diff(close[: size + 1]))
+        begin, stop = ends[0::2], ends[1::2]
+        run = stop - begin
+        keep = run >= ks[0]
+        run = run[keep]
+        row, a = np.divmod(begin[keep], span)
+        d = row + d0
+        c = np.searchsorted(ks, run, side="right") * width
+        np.add.at(opens, np.concatenate([c + a, c + a + d]), 1)
+        np.add.at(shuts, np.concatenate([c + a + run + 1, c + a + run + 1 + d]), 1)
+    # row c of a reverse cumulative sum: the runs reaching ks[c - 1] or more
+    opens = opens.reshape(-1, width)[::-1].cumsum(axis=0)[::-1]
+    shuts = shuts.reshape(-1, width)[::-1].cumsum(axis=0)[::-1]
+    # length k's difference array: +1 where a run opens, -1 at k before one
+    # past its end
+    diffs = opens[1:, : n + 1]
+    for i, k in enumerate(ks):
+        diffs[i, : n + 2 - k] -= shuts[i + 1, k:]
+    counts = diffs.cumsum(axis=1)
     counts += 1  # self-matches
-    return counts
+    return counts[np.searchsorted(ks, lengths)]
 
 
 def _phi(counts: np.ndarray, n: int, m: int) -> float:
-    """Pincus's phi(m): mean log match fraction of the length-m windows."""
+    """Pincus's phi(m) from the length-m windows' match counts: their mean
+    log match fraction."""
     n_windows = n - m + 1
     # each count includes the self-match, so the log is always defined
-    return float(np.mean(np.log(counts[m, :n_windows] / n_windows)))
+    return float(np.mean(np.log(counts[:n_windows] / n_windows)))
 
 
 def apen(seq: np.ndarray, m: int, r: float) -> float:
@@ -112,8 +151,15 @@ def apen(seq: np.ndarray, m: int, r: float) -> float:
         raise MouseAuthError(f"r must be positive and finite, got {r!r}")
     if n < m + 2:
         raise MouseAuthError(f"apen needs length >= m + 2, got {n} with m={m}")
-    counts = _match_counts_by_length(seq, m + 1, r)
-    return _phi(counts, n, m) - _phi(counts, n, m + 1)
+    counts = _match_counts(seq, [m, m + 1], r)
+    return _phi(counts[0], n, m) - _phi(counts[1], n, m + 1)
+
+
+def _slopes(lengths: tuple[int, ...], values: list[float]) -> list[float]:
+    return [
+        (values[k + 1] - values[k]) / (lengths[k + 1] - lengths[k])
+        for k in range(len(lengths) - 1)
+    ]
 
 
 def check_profile_settings(
@@ -160,7 +206,10 @@ def apen_profile(
     largest candidate, flagged, when none qualifies.
     """
     check_profile_settings(candidates, r_factor, cap, slope_threshold)
-    candidates = [int(c) for c in candidates]  # numpy integers do not serialize
+    # profiles of one candidate tuple share it; numpy integers do not serialize
+    candidates = tuple(candidates)
+    if not all(type(c) is int for c in candidates):
+        candidates = tuple(int(c) for c in candidates)
     seq = np.asarray(vel.v, dtype=float)[:cap]
     if len(seq) < max(candidates) + 2:
         raise MouseAuthError(
@@ -173,44 +222,63 @@ def apen_profile(
         )
     sigma = float(seq.std(ddof=1))
     r = r_factor * sigma if sigma > 0 else r_factor * 1e-12
-    counts = _match_counts_by_length(seq, max(candidates) + 1, r)
-    n = len(seq)
-    values = [_phi(counts, n, c) - _phi(counts, n, c + 1) for c in candidates]
-    slopes = [
-        (values[k + 1] - values[k]) / (candidates[k + 1] - candidates[k])
-        for k in range(len(candidates) - 1)
+    counts = _match_counts(seq, [*candidates, *(c + 1 for c in candidates)], r)
+    n, k = len(seq), len(candidates)
+    values = [
+        _phi(counts[i], n, c) - _phi(counts[k + i], n, c + 1)
+        for i, c in enumerate(candidates)
     ]
-    selected = candidates[-1]
-    converged = False
-    for k, slope in enumerate(slopes):
-        if abs(slope) <= slope_threshold:
-            selected = candidates[k + 1]
-            converged = True
-            break
+    slopes = _slopes(candidates, values)
+    first = next((k for k, s in enumerate(slopes) if abs(s) <= slope_threshold), None)
     return ApEnProfile(
         candidate_lengths=candidates,
         apen_values=values,
-        slopes=slopes,
         tolerance_r=r,
-        selected_length=selected,
-        converged=converged,
+        selected_length=candidates[-1] if first is None else candidates[first + 1],
+        converged=first is not None,
     )
 
 
-def segment(vel: VelocitySequence, length: int) -> list[Mau]:
+@dataclass(frozen=True, slots=True, eq=False)
+class Windows(Sequence):
+    """A session's MAUs: the rows of one read-only (n_windows, L) view of its
+    float64 speeds, each handed out as a Mau when it is read. Only the speeds
+    and L are held; the view is built on access."""
+
+    user_id: str
+    session_id: str
+    speeds: np.ndarray
+    length: int
+
+    @property
+    def rows(self) -> np.ndarray:
+        rows = self.speeds[: len(self) * self.length].reshape(-1, self.length)
+        rows.flags.writeable = False
+        return rows
+
+    def __len__(self) -> int:
+        return len(self.speeds) // self.length
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # a negative index counts from the end
+        return Mau(self.user_id, self.session_id, i * self.length, self.rows[i])
+
+    def __iter__(self):
+        starts = range(0, len(self) * self.length, self.length)
+        return (Mau(self.user_id, self.session_id, start, row)
+                for start, row in zip(starts, self.rows))
+
+
+def segment(vel: VelocitySequence, length: int) -> Windows:
     """Non-overlapping consecutive windows; the trailing remainder is dropped.
 
     Windows do not overlap so train/test splits built from them cannot leak
-    shared samples. Each window's values are a read-only view of the
-    session's speeds (of a float64 copy, if vel.v is another dtype), so
-    writing to them raises ValueError and a window keeps that array alive.
+    shared samples. They are the rows of one read-only view of the session's
+    speeds (of a float64 copy, if vel.v is another dtype), so writing to a
+    window's values raises ValueError and the windows keep that array alive.
     """
     if not is_integer(length) or length < 1:
         raise MouseAuthError(f"MAU length must be >= 1 and an integer, got {length!r}")
-    v = np.asarray(vel.v, dtype=float)
-    rows = v[: len(v) // length * length].reshape(-1, length)
-    rows.flags.writeable = False
-    return [
-        Mau(vel.user_id, vel.session_id, start, row)
-        for start, row in zip(range(0, rows.size, length), rows)
-    ]
+    return Windows(vel.user_id, vel.session_id, np.asarray(vel.v, dtype=float), int(length))

@@ -617,6 +617,22 @@ def test_reports_never_land_where_the_loader_reads(tmp_path, capsys, command):
     assert snapshot(corpus) == before
 
 
+@pytest.mark.parametrize("command", ["sufficiency", "apen"])
+def test_reports_never_land_in_the_corpus_root_of_an_input(tmp_path, capsys, command):
+    # u1's reports of u2's session went to corpus/u1/, and train then read
+    # kl_s0.csv there as a session and exited 1
+    corpus = write_corpus(tmp_path / "corpus", users=("u1", "u2"), length=1500, sessions=1)
+    before = snapshot(corpus)
+    argv = [command, "--user", "u1", "--out", str(corpus), str(corpus / "u2" / "s0.csv")]
+    assert main(argv) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert f"{corpus} is the corpus root of an input" in record["message"]
+    assert snapshot(corpus) == before
+    assert main([command, "--user", "u1", "--out", str(tmp_path / "reports"),
+                 str(corpus / "u2" / "s0.csv")]) == 0
+
+
 @pytest.mark.parametrize("command", ["sufficiency", "apen", "synth"])
 @pytest.mark.parametrize("user", ["", ".", "..", "../esc", "a/b"])
 def test_a_user_name_is_one_path_component(tmp_path, capsys, command, user):

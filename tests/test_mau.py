@@ -6,7 +6,9 @@ import pytest
 
 from mouseauth.errors import MouseAuthError
 from mouseauth.kinematics import VelocitySequence
+import mouseauth.mau as mau_mod
 from mouseauth.mau import (
+    _match_counts,
     apen,
     apen_profile,
     segment,
@@ -84,6 +86,73 @@ def test_apen_matches_brute_force(n, m, seed):
 
 
 # ---------------------------------------------------------------------------
+# the match-count kernel
+
+def histogram_match_counts(seq, max_len, r):
+    """Reference: every window's self-inclusive match count at every length
+    1..max_len (row k), from each pair's run length clipped at max_len and
+    histogrammed, then a reverse cumulative sum over run lengths."""
+    n = len(seq)
+    hist = np.zeros((max_len + 1, n), dtype=np.int64)
+    for d in range(1, n):
+        close = np.abs(seq[: n - d] - seq[d:]) <= r
+        run = 0
+        for t in range(n - d - 1, -1, -1):  # run of close pairs from t on
+            run = run + 1 if close[t] else 0
+            hist[min(run, max_len), t] += 1
+            hist[min(run, max_len), t + d] += 1
+    return hist[::-1].cumsum(axis=0)[::-1] + 1
+
+
+def _ar(phi, n, seed):
+    noise = SplitMix64(seed).normals(n)
+    x = np.zeros(n)
+    for i in range(1, n):
+        x[i] = phi * x[i - 1] + noise[i]
+    return x
+
+
+def _kernel_cases():
+    return {
+        "random": (SplitMix64(20).normals(150), 0.3),
+        "constant": (np.full(90, 2.5), 0.1),
+        # multiples of 0.5 with r = 0.5: many pairs lie exactly r apart
+        "quantized": (np.round(2 * SplitMix64(21).normals(160)) / 2, 0.5),
+        # r near 0.8 sd: runs of close pairs up to 265 long
+        "ar099": (_ar(0.99, 400, 22), 3.0),
+    }
+
+
+@pytest.mark.parametrize("lengths", [
+    [1, 2],
+    [1, 2, 3, 5, 10, 11],
+    [20, 21, 40, 41, 60, 61],
+    [7, 3, 7, 1, 30, 3],  # unsorted and repeated
+], ids=["1-2", "short", "long", "unsorted"])
+@pytest.mark.parametrize("kind", sorted(_kernel_cases()))
+def test_match_counts_equal_the_reference(kind, lengths):
+    seq, r = _kernel_cases()[kind]
+    n = len(seq)
+    ref = histogram_match_counts(seq, max(lengths), r)
+    counts = _match_counts(seq, lengths, r)
+    assert counts.dtype == np.int64 and len(counts) == len(lengths)
+    for row, k in zip(counts, lengths):
+        assert np.array_equal(row[: n - k + 1], ref[k, : n - k + 1])
+
+
+@pytest.mark.parametrize("pairs", [1, 5, 977])
+def test_match_counts_do_not_depend_on_the_block_size(monkeypatch, pairs):
+    # a few diagonals per block, so a session's runs spread over many blocks
+    seq, r = _kernel_cases()["ar099"]
+    lengths = [1, 10, 11, 50, 51, 200, 201]
+    ref = histogram_match_counts(seq, max(lengths), r)
+    monkeypatch.setattr(mau_mod, "_PAIRS_PER_BLOCK", pairs)
+    counts = _match_counts(seq, lengths, r)
+    for row, k in zip(counts, lengths):
+        assert np.array_equal(row[: len(seq) - k + 1], ref[k, : len(seq) - k + 1])
+
+
+# ---------------------------------------------------------------------------
 # profile + segmentation
 
 def test_apen_profile_flat_selects_first_qualifying():
@@ -126,13 +195,13 @@ def test_apen_profile_cap(monkeypatch):
     import mouseauth.mau as mau_mod
 
     seen = {}
-    real = mau_mod._match_counts_by_length
+    real = mau_mod._match_counts
 
-    def spy(seq, max_len, r):
+    def spy(seq, lengths, r):
         seen["n"] = len(seq)
-        return real(seq, max_len, r)
+        return real(seq, lengths, r)
 
-    monkeypatch.setattr(mau_mod, "_match_counts_by_length", spy)
+    monkeypatch.setattr(mau_mod, "_match_counts", spy)
     vel = make_vel(np.random.default_rng(0).normal(size=500))
     mau_mod.apen_profile(vel, candidates=[5, 10], cap=200)
     assert seen["n"] == 200
@@ -185,8 +254,24 @@ def test_segment_basic():
     assert maus[1].values.tolist() == [3.0, 4.0, 5.0]
 
 
+def test_segment_indexes_and_slices_like_a_list():
+    maus = segment(make_vel(np.arange(20.0)), 3)
+    as_list = list(maus)
+
+    def key(window):
+        return window.start_index, window.values.tolist()
+
+    assert [key(m) for m in as_list] == [key(maus[i]) for i in range(len(maus))]
+    for index in (-1, -6, 2):
+        assert key(maus[index]) == key(as_list[index])
+    for part in (slice(1, 4), slice(None, None, -2), slice(10, 20)):
+        assert [key(m) for m in maus[part]] == [key(m) for m in as_list[part]]
+    with pytest.raises(IndexError):
+        maus[6]
+
+
 def test_segment_too_short_sequence():
-    assert segment(make_vel(np.arange(5.0)), 10) == []
+    assert len(segment(make_vel(np.arange(5.0)), 10)) == 0
 
 
 def test_segment_exact_fit():
@@ -252,6 +337,25 @@ def test_segment_memory_per_window_while_the_session_is_held():
     assert retained / n < 300
 
 
+def test_a_profile_and_its_windows_retain_little_while_the_session_is_held():
+    # one window object per row, a stored slopes list and a candidate list
+    # per profile took about 5.7 KB a request; windows built on access,
+    # slopes computed on read and a shared candidate tuple about 1.3 KB
+    vel = make_vel(SplitMix64(3).normals(400))
+    segment(vel, apen_profile(vel).selected_length)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        held = []
+        for _ in range(10):
+            profile = apen_profile(vel)
+            held.append((profile, segment(vel, profile.selected_length)))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / len(held) < 2500
+
+
 def test_segment_invalid_length():
     with pytest.raises(MouseAuthError, match="MAU length must be >= 1"):
         segment(make_vel(np.arange(10.0)), 0)
@@ -312,4 +416,4 @@ def test_apen_profile_rejects_non_finite_speeds(bad):
     with pytest.raises(MouseAuthError, match="s: non-finite speed among the first 100 samples"):
         apen_profile(make_vel(v), candidates=[2, 4])
     # samples past the cap are never read
-    assert apen_profile(make_vel(v), candidates=[2, 4], cap=30).candidate_lengths == [2, 4]
+    assert apen_profile(make_vel(v), candidates=[2, 4], cap=30).candidate_lengths == (2, 4)
