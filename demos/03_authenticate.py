@@ -8,6 +8,8 @@ recognize user u1, and evaluates against held-out data -- including a
 Takes ~15 s. Run from the repo root:  python3 demos/03_authenticate.py
 """
 
+import numpy as np
+
 from mouseauth.evaluation import blind_attack_eval, build_splits
 from mouseauth.mau import apen_profile, segment
 from mouseauth.model import ModelConfig, TrainConfig, train
@@ -26,9 +28,10 @@ pool = generate_user_pool(specs)
 L = apen_profile(pool["u1"][0]).selected_length
 print(f"MAU length from slope rule: {L}")
 
-users = {u: [m for vel in vels for m in segment(vel, L)] for u, vels in pool.items()}
-for u, maus in users.items():
-    print(f"  {u}: {len(maus)} MAUs")
+# each user's MAUs: the rows of one (n, L) array, session after session
+users = {u: np.concatenate([segment(vel, L).rows for vel in vels]) for u, vels in pool.items()}
+for u, rows in users.items():
+    print(f"  {u}: {len(rows)} MAUs")
 
 # legit user u1; one user excluded from training entirely to play attacker
 split = build_splits(users, "u1", ratio=5.0, unseen_count=1, seed=0)

@@ -20,6 +20,7 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
 
 from . import evaluation, ingest, kinematics, mau, model, sufficiency, synth
 from .errors import ConfigError, MouseAuthError
@@ -182,11 +183,12 @@ def _user_dirs(out: Path, users, inputs=()) -> list[Path]:
 def _load_corpus(cfg: PipelineConfig, root: Path, legit_user: str, out: Path):
     """Each subdirectory of root is one user holding session CSV files.
 
-    Returns each user's MAUs of cfg.mau_length, the parse report of each
-    file, and the split record: what the split depends on besides the MAU
-    length, which the checkpoint's config carries. Train records it and eval
-    checks it; its digest covers every speed the MAUs are cut from. Raises
-    ConfigError if out is a user directory of root.
+    Returns each user's MAUs of cfg.mau_length as the rows of one array,
+    the parse report of each file, and the split record: what the split
+    depends on besides the MAU length, which the checkpoint's config
+    carries. Train records it and eval checks it; its digest covers every
+    speed the MAUs are cut from. Raises ConfigError if out is a user
+    directory of root.
     """
     if out.resolve().parent == root.resolve():
         raise ConfigError(f"{out} is a user directory of {root}, so its reports would be "
@@ -197,7 +199,7 @@ def _load_corpus(cfg: PipelineConfig, root: Path, legit_user: str, out: Path):
         if not paths:
             continue
         vels, reports = _sessions_to_velocities(cfg, paths, user_dir.name)
-        users[user_dir.name] = [m for vel in vels for m in mau.segment(vel, cfg.mau_length)]
+        users[user_dir.name] = np.concatenate([mau.segment(v, cfg.mau_length).rows for v in vels])
         parse_reports[user_dir.name] = [dataclasses.asdict(r) for r in reports]
         for vel in vels:
             # no path holds a NUL and the count fixes where each array ends,
@@ -263,8 +265,7 @@ def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
 def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     users, parse_reports, record = _load_corpus(cfg, Path(args.data_root), args.legit_user, out)
     split = _build_split(cfg, users, args.legit_user)
-    X, y = split.train_arrays()
-    params, history = model.train(X, y, cfg.model_config(), cfg.train_config())
+    params, history = model.train(*split.train_arrays(), cfg.model_config(), cfg.train_config())
     checkpoint = out / f"model_{args.legit_user}.json"
     model.save_checkpoint(checkpoint, params, cfg.model_config(), split=record)
     (out / f"loss_{args.legit_user}.csv").write_text(
@@ -273,7 +274,7 @@ def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     return f"train_{args.legit_user}", {
         "legit_user": args.legit_user,
         "checkpoint": str(checkpoint),
-        "train_size": len(y),
+        "train_size": len(split.train_labels),
         "final_loss": history[-1],
         "unseen_users": split.unseen_users,
         "parse_reports": parse_reports,

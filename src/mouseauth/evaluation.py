@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import MouseAuthError, are_labels, is_integer, is_positive_finite
-from .mau import Mau
 from . import model as model_mod
 
 LEGIT, IMPOSTER = 1, 0
@@ -149,20 +148,20 @@ def dsr(attack_scores: np.ndarray, threshold: float = DECISION_THRESHOLD) -> flo
 
 @dataclass
 class Split:
-    """Train/test MAU collections for one legitimate user."""
+    """A legitimate user's train and test MAUs as (n, L) rows, labels and unseen_mask aligned."""
 
-    train_maus: list[Mau]
-    train_labels: list[int]
-    test_maus: list[Mau]
-    test_labels: list[int]
-    unseen_mask: list[bool]  # aligned with test
+    train_maus: np.ndarray
+    train_labels: np.ndarray
+    test_maus: np.ndarray
+    test_labels: np.ndarray
+    unseen_mask: np.ndarray
     unseen_users: list[str]
 
     def train_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return model_mod.batch_from_maus(self.train_maus), np.array(self.train_labels)
+        return self.train_maus, self.train_labels
 
     def test_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return model_mod.batch_from_maus(self.test_maus), np.array(self.test_labels)
+        return self.test_maus, self.test_labels
 
 
 def check_split_settings(ratio: float, unseen_count: int, train_frac: float):
@@ -177,8 +176,15 @@ def check_split_settings(ratio: float, unseen_count: int, train_frac: float):
         raise MouseAuthError(f"train_frac must be in (0, 1), got {train_frac!r}")
 
 
+def _stack(groups: list) -> np.ndarray:
+    """Users' MAUs as rows, user by user: (n, L) arrays, or lists of Mau."""
+    if all(isinstance(g, np.ndarray) for g in groups):
+        return np.concatenate(groups)
+    return model_mod.batch_from_maus([m for g in groups for m in g])
+
+
 def build_splits(
-    users: dict[str, list[Mau]],
+    users: dict[str, np.ndarray | list],
     legit_user: str,
     ratio: float = 5.0,
     unseen_count: int = 1,
@@ -197,38 +203,31 @@ def build_splits(
         raise MouseAuthError(f"unknown legitimate user {legit_user!r}")
     others = sorted(u for u in users if u != legit_user)
     if len(others) < 1 + unseen_count:
-        raise MouseAuthError(
-            f"need >= {2 + unseen_count} users, have {len(users)}"
-        )
+        raise MouseAuthError(f"need >= {2 + unseen_count} users, have {len(users)}")
     rng = np.random.default_rng(seed)
     unseen_users = rng.choice(others, size=unseen_count, replace=False).tolist()
-    known = [u for u in others if u not in unseen_users]
-    unseen_maus = [m for u in unseen_users for m in users[u]]
-    if not unseen_maus:  # DSR would have no sample to score
+    unseen = _stack([users[u] for u in unseen_users])
+    if not len(unseen):  # DSR would have no sample to score
         raise MouseAuthError(f"unseen users {unseen_users} have no MAUs")
 
-    legit_maus = users[legit_user]
-    n_train_pos = int(round(train_frac * len(legit_maus)))
-    if n_train_pos < 1 or n_train_pos == len(legit_maus):
+    legit = _stack([users[legit_user]])
+    n_train_pos = int(round(train_frac * len(legit)))
+    if n_train_pos < 1 or n_train_pos == len(legit):
         raise MouseAuthError(f"{legit_user}: too few MAUs to split")
-    order = rng.permutation(len(legit_maus))
-    train_pos = [legit_maus[i] for i in order[:n_train_pos]]
-    test_pos = [legit_maus[i] for i in order[n_train_pos:]]
+    train_pos, test_pos = np.split(rng.permutation(len(legit)), [n_train_pos])
 
-    imposter_pool = [m for u in known for m in users[u]]
+    imposters = _stack([users[u] for u in others if u not in unseen_users])
     n_train_neg = max(1, int(round(n_train_pos / ratio)))
-    if len(imposter_pool) <= n_train_neg:
+    if len(imposters) <= n_train_neg:
         raise MouseAuthError("not enough known-imposter MAUs for the ratio")
-    imp_order = rng.permutation(len(imposter_pool))
-    train_neg = [imposter_pool[i] for i in imp_order[:n_train_neg]]
-    test_neg = [imposter_pool[i] for i in imp_order[n_train_neg:]]
+    train_neg, test_neg = np.split(rng.permutation(len(imposters)), [n_train_neg])
 
     return Split(
-        train_maus=train_pos + train_neg,
-        train_labels=[LEGIT] * len(train_pos) + [IMPOSTER] * len(train_neg),
-        test_maus=test_pos + test_neg + unseen_maus,
-        test_labels=[LEGIT] * len(test_pos) + [IMPOSTER] * (len(test_neg) + len(unseen_maus)),
-        unseen_mask=[False] * (len(test_pos) + len(test_neg)) + [True] * len(unseen_maus),
+        train_maus=np.concatenate([legit[train_pos], imposters[train_neg]]),
+        train_labels=np.repeat([LEGIT, IMPOSTER], [n_train_pos, n_train_neg]),
+        test_maus=np.concatenate([legit[test_pos], imposters[test_neg], unseen]),
+        test_labels=np.repeat([LEGIT, IMPOSTER], [len(test_pos), len(test_neg) + len(unseen)]),
+        unseen_mask=np.repeat([False, True], [len(test_pos) + len(test_neg), len(unseen)]),
         unseen_users=unseen_users,
     )
 

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from mouseauth import cli, evaluation, ingest, kinematics, mau, model, sufficiency, synth
+from mouseauth.errors import MouseAuthError
 
 
 def report(name, ok, detail=""):
@@ -199,6 +200,7 @@ def test_criterion_8_dataset_reproduction():
     reductions = []
     below = 0
     total_users = 0
+    skipped = []  # each session the scan rejects, with its reason
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         paths = sorted(user_dir.glob("*.csv"))
         if not paths:
@@ -211,8 +213,8 @@ def test_criterion_8_dataset_reproduction():
                 reports.append(
                     sufficiency.sufficiency_point(vel, 200, 1e-4, eps2)
                 )
-            except Exception:
-                continue
+            except MouseAuthError as exc:  # any other exception is a defect
+                skipped.append(f"{user_dir.name}/{s.session_id} ({exc})")
         if not reports:
             continue
         proper, _ = sufficiency.aggregate_user_volume(reports)
@@ -228,5 +230,6 @@ def test_criterion_8_dataset_reproduction():
         "8 dataset-reproduction",
         ok,
         f"users={total_users} proper<total for {below}, "
-        f"mean reduction={np.mean(reductions):.2f}x",
+        f"mean reduction={np.mean(reductions):.2f}x, "
+        f"{len(skipped)} sessions skipped: {skipped}",
     )

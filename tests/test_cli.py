@@ -324,6 +324,28 @@ def test_eval_on_the_training_split_matches_the_library(tmp_path, trained):
     assert (out / "eval_u1.json").read_text() == json.dumps(want, indent=2)
 
 
+def test_train_and_eval_build_no_mau(tmp_path, monkeypatch, capsys):
+    # a user's MAUs are the rows of one array from the loader to the model
+    data_root = write_corpus(tmp_path / "data", length=1500)
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(TINY_TRAIN))
+
+    def train_then_eval(out):
+        assert main(["train", "--config", str(cfg_file), "--legit-user", "u1", "--out",
+                     str(out), str(data_root)]) == 0
+        assert eval_main(cfg_file, out / "model_u1.json", data_root, out) == 0
+        return (out / "eval_u1.json").read_text()
+
+    want = train_then_eval(tmp_path / "plain")
+
+    class NoMau:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a Mau was built")
+
+    monkeypatch.setattr(mau, "Mau", NoMau)
+    assert train_then_eval(tmp_path / "patched") == want
+
+
 @pytest.mark.parametrize("change, message", [("seed", "['seed'] differ"),
                                              ("file removed", "['data_sha256'] differ"),
                                              ("value moved", "['data_sha256'] differ"),

@@ -235,66 +235,127 @@ def test_dsr_rejects_non_finite_thresholds(threshold):
 # splits
 
 
-def make_users(n_users=4, maus_per_user=40, length=5):
-    users = {}
-    for u in range(n_users):
-        users[f"u{u}"] = [
-            Mau(f"u{u}", "s0", i * length, np.full(length, float(u)))
-            for i in range(maus_per_user)
-        ]
+def user_rows(user, n, length):
+    """n MAUs of one user as (n, length) rows; row i holds the user's number
+    first and i after it, so each row names its MAU."""
+    rows = np.empty((n, length))
+    rows[:, 0] = user
+    rows[:, 1:] = np.arange(n)[:, None]
+    return rows
+
+
+def as_maus(user, rows):
+    return [Mau(user, "s0", i * rows.shape[1], row) for i, row in enumerate(rows)]
+
+
+FORMS = ("rows", "maus")
+
+
+def make_users(form, n_users=4, maus_per_user=40, length=5):
+    """Users as the command line passes them, one (n, L) array each
+    (form "rows"), or as lists of Mau, the form the benchmark passes
+    ("maus"). Each split test runs on both."""
+    users = {f"u{u}": user_rows(u, maus_per_user, length) for u in range(n_users)}
+    if form == "maus":
+        users = {u: as_maus(u, rows) for u, rows in users.items()}
     return users
 
 
 def test_split_ratio():
-    users = make_users()
-    split = build_splits(users, "u0", ratio=5.0, unseen_count=1, seed=0)
-    pos = sum(1 for l in split.train_labels if l == 1)
-    neg = sum(1 for l in split.train_labels if l == 0)
-    assert neg == max(1, round(pos / 5.0))
+    for form in FORMS:
+        split = build_splits(make_users(form), "u0", ratio=5.0, unseen_count=1, seed=0)
+        pos = sum(1 for l in split.train_labels if l == 1)
+        neg = sum(1 for l in split.train_labels if l == 0)
+        assert neg == max(1, round(pos / 5.0))
 
 
 def test_split_ratio_8_to_1():
-    users = make_users(maus_per_user=80)
-    split = build_splits(users, "u0", ratio=8.0, unseen_count=1, seed=0)
-    pos = sum(1 for l in split.train_labels if l == 1)
-    neg = sum(1 for l in split.train_labels if l == 0)
-    assert neg == max(1, round(pos / 8.0))
+    for form in FORMS:
+        users = make_users(form, maus_per_user=80)
+        split = build_splits(users, "u0", ratio=8.0, unseen_count=1, seed=0)
+        pos = sum(1 for l in split.train_labels if l == 1)
+        neg = sum(1 for l in split.train_labels if l == 0)
+        assert neg == max(1, round(pos / 8.0))
+
+
+def named(rows):
+    """The (user, index) of each row, as user_rows wrote them."""
+    return [(int(row[0]), int(row[1])) for row in rows]
 
 
 def test_split_disjoint_and_unseen():
-    users = make_users()
-    split = build_splits(users, "u0", ratio=5.0, unseen_count=1, seed=3)
-    train_ids = {id(m) for m in split.train_maus}
-    test_ids = {id(m) for m in split.test_maus}
-    assert not train_ids & test_ids
-    unseen = split.unseen_users[0]
-    assert all(m.user_id != unseen for m in split.train_maus)
-    unseen_maus = [m for m, mask in zip(split.test_maus, split.unseen_mask) if mask]
-    assert unseen_maus and all(m.user_id == unseen for m in unseen_maus)
+    for form in FORMS:
+        split = build_splits(make_users(form), "u0", ratio=5.0, unseen_count=1, seed=3)
+        train, test = named(split.train_maus), named(split.test_maus)
+        # every MAU lands on exactly one side, once
+        assert sorted(train + test) == [(u, i) for u in range(4) for i in range(40)]
+        assert not set(train) & set(test)
+        assert [u == 0 for u, _ in train] == (split.train_labels == 1).tolist()
+        assert [u == 0 for u, _ in test] == (split.test_labels == 1).tolist()
+        unseen = int(split.unseen_users[0][1:])
+        assert all(u != unseen for u, _ in train)
+        assert split.unseen_mask.any()
+        assert [u == unseen for u, _ in test] == split.unseen_mask.tolist()
 
 
 def test_split_deterministic():
-    users = make_users()
-    s1 = build_splits(users, "u0", seed=9)
-    s2 = build_splits(users, "u0", seed=9)
-    assert s1.unseen_users == s2.unseen_users
-    assert [id(m) for m in s1.train_maus] == [id(m) for m in s2.train_maus]
+    for form in FORMS:
+        users = make_users(form)
+        s1 = build_splits(users, "u0", seed=9)
+        s2 = build_splits(users, "u0", seed=9)
+        assert s1.unseen_users == s2.unseen_users
+        # the rows name their MAUs, so the same MAUs come in the same order
+        assert named(s1.train_maus) == named(s2.train_maus)
+        assert named(s1.test_maus) == named(s2.test_maus)
+        assert named(build_splits(users, "u0", seed=10).train_maus) != named(s1.train_maus)
+
+
+@pytest.mark.parametrize("seed", [0, 3, 9])
+def test_split_is_the_same_from_rows_and_from_mau_lists(seed):
+    a, b = (build_splits(make_users(form), "u0", seed=seed) for form in FORMS)
+    assert a.unseen_users == b.unseen_users
+    for field in ("train_maus", "train_labels", "test_maus", "test_labels", "unseen_mask"):
+        assert getattr(a, field).dtype == getattr(b, field).dtype
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_split_insufficient_users():
-    users = make_users(n_users=2)
-    with pytest.raises(MouseAuthError, match="need >= 3 users, have 2"):
-        build_splits(users, "u0", unseen_count=1)
+    for form in FORMS:
+        with pytest.raises(MouseAuthError, match="need >= 3 users, have 2"):
+            build_splits(make_users(form, n_users=2), "u0", unseen_count=1)
+
+
+def without_maus(users, user):
+    """users with no MAU left for user, in its own form."""
+    return {**users, user: users[user][:0]}
 
 
 def test_split_rejects_unseen_users_without_maus():
     # a session shorter than one MAU left the unseen side empty, and
     # blind_attack_eval reported dsr None without an error
-    users = make_users(n_users=3)
-    unseen = build_splits(users, "u0", seed=0).unseen_users[0]
-    users[unseen] = []
-    with pytest.raises(MouseAuthError, match=r"unseen users \['u\d'\] have no MAUs"):
-        build_splits(users, "u0", seed=0)
+    for form in FORMS:
+        users = make_users(form, n_users=3)
+        unseen = build_splits(users, "u0", seed=0).unseen_users[0]
+        with pytest.raises(MouseAuthError, match=r"unseen users \['u\d'\] have no MAUs"):
+            build_splits(without_maus(users, unseen), "u0", seed=0)
+
+
+def test_split_rejects_known_imposters_without_maus():
+    for form in FORMS:
+        users = make_users(form, n_users=3)
+        unseen = build_splits(users, "u0", seed=0).unseen_users[0]
+        known, = set(users) - {"u0", unseen}
+        with pytest.raises(MouseAuthError, match="not enough known-imposter MAUs"):
+            build_splits(without_maus(users, known), "u0", seed=0)
+
+
+def test_a_user_without_maus_adds_no_row():
+    for form in FORMS:
+        users = make_users(form, n_users=5)
+        unseen = build_splits(users, "u0", unseen_count=2, seed=0).unseen_users
+        split = build_splits(without_maus(users, unseen[0]), "u0", unseen_count=2, seed=0)
+        assert [u for u, _ in named(split.test_maus[split.unseen_mask])] == \
+            [int(unseen[1][1:])] * 40
 
 
 @pytest.mark.parametrize("settings, message", [
@@ -310,8 +371,9 @@ def test_split_rejects_unseen_users_without_maus():
     ({"train_frac": "0.7"}, r"train_frac must be in \(0, 1\)"),
 ])
 def test_split_rejects_settings_it_cannot_honour(settings, message):
-    with pytest.raises(MouseAuthError, match=message):
-        build_splits(make_users(), "u0", **settings)
+    for form in FORMS:
+        with pytest.raises(MouseAuthError, match=message):
+            build_splits(make_users(form), "u0", **settings)
 
 
 # ---------------------------------------------------------------------------
@@ -324,11 +386,11 @@ def test_blind_attack_zero_head_model():
     params = init_params(cfg)
     params["head_w"][:] = 0
     params["head_b"][:] = 0
-    users = make_users(length=5)
-    split = build_splits(users, "u0", seed=0)
-    report = blind_attack_eval(params, split, cfg)
-    assert report.auc == 0.5  # all scores 0.5: every pair ties
-    assert report.dsr is not None and report.dsr_at_eer is not None
+    for form in FORMS:
+        split = build_splits(make_users(form, length=5), "u0", seed=0)
+        report = blind_attack_eval(params, split, cfg)
+        assert report.auc == 0.5  # all scores 0.5: every pair ties
+        assert report.dsr is not None and report.dsr_at_eer is not None
 
 
 @pytest.mark.parametrize("mask", [[True, False, True], [False] * 5])
