@@ -110,11 +110,9 @@ _CLIENT_TIMESTAMP_SCHEMA = {"timestamp_col": "client timestamp", "x_col": "x", "
 
 PRESETS = {
     # conservative eps2, 5:1 imbalance
-    "balabit": {"eps1": 1e-4, "eps2": 1e-7, "step_m": 200, "pos_neg_ratio": 5.0,
-                "schema": _CLIENT_TIMESTAMP_SCHEMA},
+    "balabit": {"eps2": 1e-7, "pos_neg_ratio": 5.0, "schema": _CLIENT_TIMESTAMP_SCHEMA},
     # more aggressive eps2, 8:1 imbalance
-    "dfl": {"eps1": 1e-4, "eps2": 1e-6, "step_m": 200, "pos_neg_ratio": 8.0,
-            "schema": _CLIENT_TIMESTAMP_SCHEMA},
+    "dfl": {"eps2": 1e-6, "pos_neg_ratio": 8.0, "schema": _CLIENT_TIMESTAMP_SCHEMA},
 }
 
 
@@ -131,10 +129,11 @@ def _load_json_object(path: str) -> dict:
 def load_config(args) -> PipelineConfig:
     values = _load_json_object(args.config) if args.config else {}
     # a preset is not a config field: it only fills in the fields it names
-    # that the file leaves unset, so defaults < preset < file < flags
-    preset = getattr(args, "preset", None) or values.get("preset")
-    values.pop("preset", None)
-    if preset:
+    # that the file leaves unset, so defaults < preset < file < flags; a
+    # null preset in the file means none
+    preset = values.pop("preset", None)
+    preset = getattr(args, "preset", None) or preset
+    if preset is not None:
         if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
         values = {**copy.deepcopy(PRESETS[preset]), **values}

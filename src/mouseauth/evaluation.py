@@ -180,6 +180,7 @@ def _stack(groups: list) -> np.ndarray:
     """Users' MAUs as rows, user by user: (n, L) arrays, or lists of Mau."""
     if all(isinstance(g, np.ndarray) for g in groups):
         return np.concatenate(groups)
+    # bench/workloads.py passes lists of Mau
     return model_mod.batch_from_maus([m for g in groups for m in g])
 
 
@@ -232,6 +233,7 @@ def build_splits(
     )
 
 
+# bench/workloads.py scores its test splits with this
 def blind_attack_eval(
     params: dict[str, np.ndarray],
     split: Split,

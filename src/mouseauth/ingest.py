@@ -53,8 +53,8 @@ class ParseReport:
     """Row accounting for one parsed file: dropped + events = data rows."""
 
     file: str
-    events: int = 0
-    dropped: int = 0
+    events: int
+    dropped: int
 
 
 def parse_session(
@@ -76,7 +76,7 @@ def parse_session(
     events, and a 0-byte file one with no rows either.
     """
     errors = "replace"
-    if isinstance(data, str):
+    if isinstance(data, str):  # bench/test_bench.py passes read_text()
         # a str round-trips through these bytes unchanged, lone surrogates included
         data, errors = data.encode("utf-8", "surrogatepass"), "surrogatepass"
     # a leading byte-order mark (spreadsheet exports write one) is not data

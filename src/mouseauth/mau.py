@@ -10,7 +10,6 @@ flattens below a threshold.
 from __future__ import annotations
 
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,13 +23,12 @@ DEFAULT_CAP = 5000
 DEFAULT_CANDIDATES = tuple(range(10, 201, 10))
 
 
+# bench/workloads.py reads segment's windows as Mau objects
 @dataclass(frozen=True, slots=True)
 class Mau:
     """One fixed-length classifier input window, a read-only view of its
-    session's speeds."""
+    session's speeds starting at sample start_index."""
 
-    user_id: str
-    session_id: str
     start_index: int
     values: np.ndarray
 
@@ -240,13 +238,11 @@ def apen_profile(
 
 
 @dataclass(frozen=True, slots=True, eq=False)
-class Windows(Sequence):
+class Windows:
     """A session's MAUs: the rows of one read-only (n_windows, L) view of its
-    float64 speeds, each handed out as a Mau when it is read. Only the speeds
+    float64 speeds, each handed out as a Mau when iterated. Only the speeds
     and L are held; the view is built on access."""
 
-    user_id: str
-    session_id: str
     speeds: np.ndarray
     length: int
 
@@ -259,16 +255,10 @@ class Windows(Sequence):
     def __len__(self) -> int:
         return len(self.speeds) // self.length
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
-        i = range(len(self))[index]  # a negative index counts from the end
-        return Mau(self.user_id, self.session_id, i * self.length, self.rows[i])
-
+    # bench/workloads.py iterates the windows
     def __iter__(self):
         starts = range(0, len(self) * self.length, self.length)
-        return (Mau(self.user_id, self.session_id, start, row)
-                for start, row in zip(starts, self.rows))
+        return (Mau(start, row) for start, row in zip(starts, self.rows))
 
 
 def segment(vel: VelocitySequence, length: int) -> Windows:
@@ -281,4 +271,4 @@ def segment(vel: VelocitySequence, length: int) -> Windows:
     """
     if not is_integer(length) or length < 1:
         raise MouseAuthError(f"MAU length must be >= 1 and an integer, got {length!r}")
-    return Windows(vel.user_id, vel.session_id, np.asarray(vel.v, dtype=float), int(length))
+    return Windows(np.asarray(vel.v, dtype=float), int(length))

@@ -234,6 +234,7 @@ def standardize_batch(x: np.ndarray) -> np.ndarray:
     return centred
 
 
+# bench/workloads.py stacks its warm-up MAUs with this
 def batch_from_maus(maus) -> np.ndarray:
     return np.array([np.asarray(m.values, dtype=float) for m in maus])
 
@@ -587,6 +588,7 @@ def train(
 
 def predict(params: dict[str, np.ndarray], mau, config: ModelConfig) -> float:
     """Probability that one MAU belongs to the legitimate user (class 1)."""
+    # bench/workloads.py passes a Mau in its warm-up
     return float(predict_batch(params, [getattr(mau, "values", mau)], config)[0])
 
 
@@ -623,6 +625,7 @@ def save_checkpoint(path: str | Path, params: dict[str, np.ndarray], config: Mod
     Path(path).write_text(json.dumps(payload))
 
 
+# bench/workloads.py loads the CLI's checkpoint with this
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfig]:
     return read_checkpoint(path)[:2]
 
@@ -632,8 +635,10 @@ def read_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], ModelConfi
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict):
         raise MouseAuthError(f"checkpoint must hold a JSON object, got a {type(payload).__name__}")
-    if payload.get("version") != CHECKPOINT_VERSION:
-        raise MouseAuthError(f"unsupported checkpoint version: {payload.get('version')}")
+    # true and 1.0 equal 1, so the type is compared too
+    version = payload.get("version")
+    if type(version) is not int or version != CHECKPOINT_VERSION:
+        raise MouseAuthError(f"unsupported checkpoint version: {version!r}")
     if not isinstance(payload.get("config"), dict) or not isinstance(payload.get("params"), dict):
         raise MouseAuthError('checkpoint needs a "config" and a "params" object')
     if set(payload["config"]) != {f.name for f in fields(ModelConfig)}:

@@ -54,6 +54,14 @@ def test_config_file_preset(tmp_path):
     assert cfg.schema_map() == SchemaMap(timestamp_col="client timestamp", x_col="x", y_col="y")
 
 
+def test_config_file_null_preset_means_none(tmp_path):
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"preset": None, "seed": 3}))
+    cfg = load_config(build_parser().parse_args(
+        ["sufficiency", "--config", str(cfg_file), "--user", "u", "a.csv"]))
+    assert cfg == PipelineConfig(seed=3)
+
+
 def test_config_file_values_beat_its_preset_and_flags_beat_both(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"preset": "dfl", "eps2": 1e-8, "pos_neg_ratio": 3.0}))
@@ -164,6 +172,11 @@ def test_wrongly_typed_schema_exit_code(tmp_path, capsys, schema):
     '"abc"',
     "{bad json",
     '{"preset": ["dfl"]}',  # a preset name must be a string
+    # a falsy preset ran with none; only null means none
+    '{"preset": false}',
+    '{"preset": 0}',
+    '{"preset": ""}',
+    '{"preset": []}',
     '{"dt": 1e400}',  # parses as inf
     '{"eps1": Infinity}',
 ])

@@ -244,8 +244,8 @@ def user_rows(user, n, length):
     return rows
 
 
-def as_maus(user, rows):
-    return [Mau(user, "s0", i * rows.shape[1], row) for i, row in enumerate(rows)]
+def as_maus(rows):
+    return [Mau(i * rows.shape[1], row) for i, row in enumerate(rows)]
 
 
 FORMS = ("rows", "maus")
@@ -257,7 +257,7 @@ def make_users(form, n_users=4, maus_per_user=40, length=5):
     ("maus"). Each split test runs on both."""
     users = {f"u{u}": user_rows(u, maus_per_user, length) for u in range(n_users)}
     if form == "maus":
-        users = {u: as_maus(u, rows) for u, rows in users.items()}
+        users = {u: as_maus(rows) for u, rows in users.items()}
     return users
 
 

@@ -654,6 +654,18 @@ def test_checkpoint_config_keys_checked(tmp_path, edit):
         load_checkpoint(path)
 
 
+@pytest.mark.parametrize("version", [True, 1.0, "1", 2, None])
+def test_checkpoint_version_must_be_the_int_1(tmp_path, version):
+    # true and 1.0 loaded as version 1
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(path, init_params(TINY), TINY)
+    payload = json.loads(path.read_text())
+    payload["version"] = version
+    path.write_text(json.dumps(payload))
+    with pytest.raises(MouseAuthError, match="unsupported checkpoint version"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("key", ["config", "params"])
 def test_checkpoint_without_config_or_params(tmp_path, key):
     path = tmp_path / "ckpt.json"
