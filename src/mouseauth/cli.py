@@ -58,8 +58,8 @@ class PipelineConfig:
     train_frac: float = 0.7
     seed: int = 0
 
-    def validate(self):
-        # the stage that reads a field checks it
+    def __post_init__(self):
+        # checked when made, as ModelConfig is: the stage that reads a field checks it
         try:
             self.schema_map()
         except (TypeError, MouseAuthError) as exc:  # a missing or unknown key, a bad value
@@ -126,29 +126,29 @@ def _load_json_object(path: str) -> dict:
     return values
 
 
+def _over_preset(preset, values: dict) -> PipelineConfig:
+    if preset is not None:
+        if not isinstance(preset, str) or preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}")
+        values = {**copy.deepcopy(PRESETS[preset]), **values}
+    return PipelineConfig(**values)
+
+
 def load_config(args) -> PipelineConfig:
     values = _load_json_object(args.config) if args.config else {}
     # a preset is not a config field: it only fills in the fields it names
     # that the file leaves unset, so defaults < preset < file < flags; a
     # null preset in the file means none
     preset = values.pop("preset", None)
-    preset = getattr(args, "preset", None) or preset
-    if preset is not None:
-        if not isinstance(preset, str) or preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}")
-        values = {**copy.deepcopy(PRESETS[preset]), **values}
-    # each override flag's argparse dest is the config field it sets
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    for name in known:
-        value = getattr(args, name, None)
-        if value is not None:
-            values[name] = value
     unknown = set(values) - known
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    cfg = PipelineConfig(**values)
-    cfg.validate()
-    return cfg
+    # the file is checked over its own preset, so no flag can hide a bad value in it
+    _over_preset(preset, values)
+    # each override flag's argparse dest is the config field it sets
+    flags = {name: getattr(args, name) for name in known if getattr(args, name, None) is not None}
+    return _over_preset(getattr(args, "preset", None) or preset, {**values, **flags})
 
 
 def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
@@ -397,14 +397,10 @@ def main(argv=None) -> int:
         (out / f"{name}.json").write_text(json.dumps(summary, indent=2))
         print(json.dumps(summary))
         return 0
-    except ConfigError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return 2
     except (MouseAuthError, OSError, ValueError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
               file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -134,6 +134,8 @@ def test_invalid_config_exit_code(tmp_path):
     {"mau_length": 30.5},
 ])
 def test_wrongly_typed_config_exit_code(tmp_path, values):
+    with pytest.raises(ConfigError):  # a config checks itself when it is made
+        PipelineConfig(**values)
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps(values))
     code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
@@ -179,13 +181,16 @@ def test_wrongly_typed_schema_exit_code(tmp_path, capsys, schema):
     '{"preset": []}',
     '{"dt": 1e400}',  # parses as inf
     '{"eps1": Infinity}',
+    '{"eps2": Infinity}',
 ])
 def test_malformed_config_file_exit_code(tmp_path, capsys, text):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(text)
-    code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    # a flag that replaces the bad value does not hide it
+    for flags in [], ["--preset", "balabit", "--eps1", "1e-4", "--eps2", "1e-6"]:
+        code = main(["sufficiency", "--config", str(cfg_file), *flags, "--user", "u", "x.csv"])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("values", [
@@ -200,8 +205,11 @@ def test_malformed_config_file_exit_code(tmp_path, capsys, text):
     {"seed": -1},  # failed in init_params after the corpus loaded
     {"seed": "x"},
     {"seed": True},
+    {"eps2": float("inf")},  # read by sufficiency alone, checked by every command
 ])
 def test_invalid_model_config_exit_code(tmp_path, capsys, values):
+    with pytest.raises(ConfigError):  # a config checks itself when it is made
+        PipelineConfig(**values)
     # a valid corpus, so that only the model settings can fail
     data_root = write_corpus(tmp_path / "data", length=300)
     cfg_file = tmp_path / "cfg.json"
