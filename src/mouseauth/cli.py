@@ -126,29 +126,21 @@ def _load_json_object(path: str) -> dict:
     return values
 
 
-def _over_preset(preset, values: dict) -> PipelineConfig:
+def load_config(path) -> PipelineConfig:
+    """The run's config: the defaults, then the file's preset, then the
+    file's own values. No setting comes from the command line."""
+    values = _load_json_object(path) if path else {}
+    # a preset is not a config field: it only fills in the fields it names
+    # that the file leaves unset; a null preset means none
+    preset = values.pop("preset", None)
+    unknown = set(values) - {f.name for f in dataclasses.fields(PipelineConfig)}
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if preset is not None:
         if not isinstance(preset, str) or preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}")
         values = {**copy.deepcopy(PRESETS[preset]), **values}
     return PipelineConfig(**values)
-
-
-def load_config(args) -> PipelineConfig:
-    values = _load_json_object(args.config) if args.config else {}
-    # a preset is not a config field: it only fills in the fields it names
-    # that the file leaves unset, so defaults < preset < file < flags; a
-    # null preset in the file means none
-    preset = values.pop("preset", None)
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    unknown = set(values) - known
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    # the file is checked over its own preset, so no flag can hide a bad value in it
-    _over_preset(preset, values)
-    # each override flag's argparse dest is the config field it sets
-    flags = {name: getattr(args, name) for name in known if getattr(args, name, None) is not None}
-    return _over_preset(getattr(args, "preset", None) or preset, {**values, **flags})
 
 
 def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
@@ -166,7 +158,7 @@ def _user_dirs(out: Path, users, inputs=()) -> list[Path]:
     dirs = [out / user for user in users]
     input_dirs = {Path(path).resolve().parent for path in inputs}
     for user, path in zip(users, dirs):
-        if user in ("", ".", "..") or "/" in user:
+        if user in ("", ".", "..") or "/" in user or "\0" in user:
             raise ConfigError(f"user name {user!r} is not one path component")
         if path.resolve() in input_dirs:
             raise ConfigError(f"{path} holds an input, so its reports would be read "
@@ -221,10 +213,11 @@ def _build_split(cfg: PipelineConfig, users, legit_user: str) -> evaluation.Spli
                                    train_frac=cfg.train_frac)
 
 
-# Each command runs its stage, writes its artifacts to out and returns its
-# summary's name and payload; main stamps, writes and prints the summary.
+# Each command runs its stage, writes its artifacts to out and returns the
+# config it ran, its summary's name and payload; main stamps, writes and
+# prints the summary.
 
-def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
+def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[PipelineConfig, str, dict]:
     vels, parse_reports = _sessions_to_velocities(cfg, args.inputs, args.user)
     # every session is screened before any file is written, so a session that
     # fails leaves no other session's files behind
@@ -237,7 +230,7 @@ def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
         (user_out / f"sufficiency_{report.session_id}.json").write_text(report.to_json())
         (user_out / f"kl_{report.session_id}.csv").write_text(report.trajectory_csv())
     total, flagged = sufficiency.aggregate_user_volume(reports)
-    return f"sufficiency_{args.user}", {
+    return cfg, f"sufficiency_{args.user}", {
         "user": args.user,
         "parse_reports": [dataclasses.asdict(r) for r in parse_reports],
         "proper_volume": total,
@@ -246,7 +239,7 @@ def cmd_sufficiency(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     }
 
 
-def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
+def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[PipelineConfig, str, dict]:
     vels, _ = _sessions_to_velocities(cfg, args.inputs, args.user)
     profiles = [
         mau.apen_profile(vel, candidates=cfg.candidates, r_factor=cfg.r_factor,
@@ -257,11 +250,11 @@ def cmd_apen(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     for vel, profile in zip(vels, profiles):
         (user_out / f"apen_{vel.session_id}.json").write_text(profile.to_json())
         (user_out / f"apen_{vel.session_id}.csv").write_text(profile.profile_csv())
-    return f"apen_{args.user}", {
+    return cfg, f"apen_{args.user}", {
         "user": args.user, "selected_lengths": [p.selected_length for p in profiles]}
 
 
-def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
+def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[PipelineConfig, str, dict]:
     users, parse_reports, record = _load_corpus(cfg, Path(args.data_root), args.legit_user, out)
     split = _build_split(cfg, users, args.legit_user)
     params, history = model.train(*split.train_arrays(), cfg.model_config(), cfg.train_config())
@@ -270,7 +263,7 @@ def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     (out / f"loss_{args.legit_user}.csv").write_text(
         "epoch,loss\n" + "".join(f"{i},{l!r}\n" for i, l in enumerate(history))
     )
-    return f"train_{args.legit_user}", {
+    return cfg, f"train_{args.legit_user}", {
         "legit_user": args.legit_user,
         "checkpoint": str(checkpoint),
         "train_size": len(split.train_labels),
@@ -280,11 +273,17 @@ def cmd_train(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     }
 
 
-def cmd_eval(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
+def cmd_eval(cfg: PipelineConfig, out: Path, args) -> tuple[PipelineConfig, str, dict]:
     params, mcfg, record = model.read_checkpoint(args.checkpoint)
     if not isinstance(record, dict):
         raise ConfigError(f"{args.checkpoint} records no split to check; train it again")
-    cfg.mau_length = mcfg.input_length
+    # the window length and the architecture are the checkpoint's, so the
+    # stamped config describes the model scored; the split's settings stay
+    # the file's, which the record checks
+    cfg = dataclasses.replace(
+        cfg, mau_length=mcfg.input_length, conv_channels=mcfg.conv_channels,
+        kernel_size=mcfg.kernel_size, res_blocks=mcfg.res_blocks, res_kernel=mcfg.res_kernel,
+        gru_hidden=mcfg.gru_hidden, standardize=mcfg.standardize)
     users, parse_reports, want = _load_corpus(cfg, Path(args.data_root), args.legit_user, out)
     # any other split could test the model on its own training windows;
     # checked before the split, which may fail on settings that differ
@@ -296,7 +295,7 @@ def cmd_eval(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
     scored = evaluation.ScoredSet(model.predict_batch(params, X, mcfg), y)
     report = evaluation.report_scores(scored, split.unseen_mask)
     (out / f"roc_{args.legit_user}.csv").write_text(evaluation.roc_curve_csv(scored))
-    return f"eval_{args.legit_user}", {
+    return cfg, f"eval_{args.legit_user}", {
         "legit_user": args.legit_user, **dataclasses.asdict(report),
         "parse_reports": parse_reports,
     }
@@ -318,7 +317,7 @@ def load_specs(path: str) -> dict[str, list[synth.SynthSpec]]:
         raise ConfigError(f"bad spec in {path}: {exc}") from exc
 
 
-def cmd_synth(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
+def cmd_synth(cfg: PipelineConfig, out: Path, args) -> tuple[PipelineConfig, str, dict]:
     pool = synth.generate_user_pool(load_specs(args.spec), dt=cfg.dt)
     users = sorted(pool)
     written = []
@@ -327,7 +326,7 @@ def cmd_synth(cfg: PipelineConfig, out: Path, args) -> tuple[str, dict]:
             path = user_dir / f"{vel.session_id}.csv"
             path.write_text(synth.to_session_csv(vel))
             written.append(str(path))
-    return "synth", {"files": written}
+    return cfg, "synth", {"files": written}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,41 +336,32 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, seed=True):
+    # the command line names what a run reads and where it writes; every
+    # setting is in the config file, which the stamped hash covers
+    def common(p):
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--preset", choices=sorted(PRESETS))
         p.add_argument("--out", default="out", help="output directory")
-        if seed:
-            p.add_argument("--seed", type=int)
 
     p = sub.add_parser("sufficiency", help="KDE/KL proper-volume estimation")
     common(p)
     p.add_argument("--user", required=True)
-    p.add_argument("--step-m", type=int, dest="step_m")
-    p.add_argument("--eps1", type=float)
-    p.add_argument("--eps2", type=float)
     p.add_argument("inputs", nargs="+", help="session CSV files")
     p.set_defaults(func=cmd_sufficiency)
 
     p = sub.add_parser("apen", help="ApEn profile and MAU length selection")
     common(p)
     p.add_argument("--user", required=True)
-    p.add_argument("--slope-threshold", type=float, dest="slope_threshold")
     p.add_argument("inputs", nargs="+", help="session CSV files")
     p.set_defaults(func=cmd_apen)
 
     p = sub.add_parser("train", help="train the classifier for one user")
     common(p)
     p.add_argument("--legit-user", required=True, dest="legit_user")
-    p.add_argument("--mau-length", type=int, dest="mau_length")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--ratio", type=float, dest="pos_neg_ratio",
-                   help="positive:negative ratio")
     p.add_argument("data_root", help="directory of per-user session subdirectories")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="blind-attack evaluation of a checkpoint")
-    common(p, seed=False)  # the split's settings must be the checkpoint's
+    common(p)
     p.add_argument("--legit-user", required=True, dest="legit_user")
     p.add_argument("checkpoint")
     p.add_argument("data_root")
@@ -387,11 +377,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
+        cfg = load_config(args.config)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        name, summary = args.func(cfg, out, args)
-        # stamped after the command has run: eval takes mau_length from its checkpoint
+        cfg, name, summary = args.func(cfg, out, args)
         summary["config_hash"] = cfg.config_hash()
         summary["seed"] = cfg.seed
         (out / f"{name}.json").write_text(json.dumps(summary, indent=2))

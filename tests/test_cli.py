@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import os
@@ -43,12 +44,7 @@ def test_preset_values():
 def test_config_file_preset(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"preset": "dfl", "seed": 3}))
-
-    class Args:
-        config = str(cfg_file)
-        preset = None
-
-    cfg = load_config(Args())
+    cfg = load_config(str(cfg_file))
     assert cfg.seed == 3
     assert (cfg.eps1, cfg.eps2, cfg.step_m, cfg.pos_neg_ratio) == (1e-4, 1e-6, 200, 8.0)
     assert cfg.schema_map() == SchemaMap(timestamp_col="client timestamp", x_col="x", y_col="y")
@@ -57,50 +53,32 @@ def test_config_file_preset(tmp_path):
 def test_config_file_null_preset_means_none(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"preset": None, "seed": 3}))
-    cfg = load_config(build_parser().parse_args(
-        ["sufficiency", "--config", str(cfg_file), "--user", "u", "a.csv"]))
-    assert cfg == PipelineConfig(seed=3)
+    assert load_config(str(cfg_file)) == PipelineConfig(seed=3)
 
 
-def test_config_file_values_beat_its_preset_and_flags_beat_both(tmp_path):
+def test_config_file_values_beat_its_preset(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"preset": "dfl", "eps2": 1e-8, "pos_neg_ratio": 3.0}))
-    cfg = load_config(build_parser().parse_args(
-        ["sufficiency", "--config", str(cfg_file), "--user", "u", "a.csv"]))
+    cfg = load_config(str(cfg_file))
     assert (cfg.eps2, cfg.pos_neg_ratio, cfg.step_m) == (1e-8, 3.0, 200)
-    cfg_file.write_text(json.dumps({"eps2": 1e-8}))
-    cfg = load_config(build_parser().parse_args(
-        ["sufficiency", "--config", str(cfg_file), "--preset", "balabit", "--eps2", "1e-5",
-         "--user", "u", "a.csv"]))
-    assert (cfg.eps2, cfg.pos_neg_ratio) == (1e-5, 5.0)
-    cfg = load_config(build_parser().parse_args(
-        ["sufficiency", "--config", str(cfg_file), "--preset", "balabit", "--user", "u", "a.csv"]))
-    assert cfg.eps2 == 1e-8
+    cfg_file.write_text(json.dumps({"preset": "balabit", "eps2": 1e-8}))
+    cfg = load_config(str(cfg_file))
+    assert (cfg.eps2, cfg.pos_neg_ratio) == (1e-8, 5.0)
     assert cfg.schema_map() == SchemaMap(timestamp_col="client timestamp", x_col="x", y_col="y")
 
 
 def test_load_config_rejects_bad_values(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"dt": -1}))
-
-    class Args:
-        config = str(cfg_file)
-        preset = None
-
     with pytest.raises(ConfigError):
-        load_config(Args())
+        load_config(str(cfg_file))
 
 
 def test_load_config_rejects_unknown_keys(tmp_path):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({"nonsense": 1}))
-
-    class Args:
-        config = str(cfg_file)
-        preset = None
-
     with pytest.raises(ConfigError):
-        load_config(Args())
+        load_config(str(cfg_file))
 
 
 def test_sufficiency_report_names_the_exact_kl_values(tmp_path):
@@ -186,11 +164,9 @@ def test_wrongly_typed_schema_exit_code(tmp_path, capsys, schema):
 def test_malformed_config_file_exit_code(tmp_path, capsys, text):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(text)
-    # a flag that replaces the bad value does not hide it
-    for flags in [], ["--preset", "balabit", "--eps1", "1e-4", "--eps2", "1e-6"]:
-        code = main(["sufficiency", "--config", str(cfg_file), *flags, "--user", "u", "x.csv"])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    code = main(["sufficiency", "--config", str(cfg_file), "--user", "u", "x.csv"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
 
 
 @pytest.mark.parametrize("values", [
@@ -238,10 +214,12 @@ def test_cap_below_largest_candidate_is_a_config_error(tmp_path, capsys, command
     assert record["error"] == "ConfigError" and "cap too small" in record["message"]
 
 
-def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+def test_negative_seed_is_a_config_error(tmp_path, capsys):
     # checked before any input is read: the data root does not exist
-    code = main(["train", "--seed=-1", "--legit-user", "u1", "--out", str(tmp_path / "out"),
-                 str(tmp_path / "missing")])
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"seed": -1}))
+    code = main(["train", "--config", str(cfg_file), "--legit-user", "u1",
+                 "--out", str(tmp_path / "out"), str(tmp_path / "missing")])
     assert code == 2
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ConfigError" and "seed must be an integer >= 0" in record["message"]
@@ -345,6 +323,22 @@ def test_eval_on_the_training_split_matches_the_library(tmp_path, trained):
     assert (out / "eval_u1.json").read_text() == json.dumps(want, indent=2)
 
 
+def test_eval_stamps_the_config_of_the_model_it_scored(tmp_path, capsys, trained):
+    # the window length and the architecture are the checkpoint's, so a file
+    # that names another architecture scores the same model and stamps the
+    # same config as train did
+    data_root, cfg_file, checkpoint = trained
+    other = tmp_path / "other.json"
+    other.write_text(json.dumps({"epochs": 1}))
+    assert eval_main(other, checkpoint, data_root, tmp_path / "other") == 0
+    assert eval_main(cfg_file, checkpoint, data_root, tmp_path / "same") == 0
+    got, want = (json.loads((tmp_path / name / "eval_u1.json").read_text())
+                 for name in ("other", "same"))
+    train = json.loads((checkpoint.parent / "train_u1.json").read_text())
+    assert got == want
+    assert got["config_hash"] == train["config_hash"] == PipelineConfig(**TINY_TRAIN).config_hash()
+
+
 def test_train_and_eval_build_no_mau(tmp_path, monkeypatch, capsys):
     # a user's MAUs are the rows of one array from the loader to the model
     data_root = write_corpus(tmp_path / "data", length=1500)
@@ -426,13 +420,6 @@ def test_eval_checks_the_record_before_it_splits(tmp_path, capsys, trained, legi
     assert record["error"] == "ConfigError" and f"['{key}'] differ" in record["message"]
 
 
-def test_eval_has_no_split_flags():
-    for flag in ("--seed", "--unseen-count"):
-        with pytest.raises(SystemExit) as exc:
-            build_parser().parse_args(["eval", flag, "1", "--legit-user", "u1", "m.json", "d"])
-        assert exc.value.code == 2
-
-
 def test_missing_input_exit_code(tmp_path, capsys):
     code = main(["sufficiency", "--user", "u", "--out", str(tmp_path), "nope.csv"])
     assert code == 1
@@ -467,9 +454,11 @@ def test_sufficiency_command(tmp_path, capsys):
     csv_path = tmp_path / "sess.csv"
     csv_path.write_text(to_session_csv(vel))
     out = tmp_path / "out"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"step_m": 200, "eps1": 1e-4, "eps2": 1e-6}))
     code = main([
-        "sufficiency", "--user", "u9", "--out", str(out),
-        "--step-m", "200", "--eps1", "1e-4", "--eps2", "1e-6", str(csv_path),
+        "sufficiency", "--config", str(cfg_file), "--user", "u9", "--out", str(out),
+        str(csv_path),
     ])
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip())
@@ -526,11 +515,11 @@ def test_train_eval_round_trip(tmp_path, capsys):
     cfg_file = tmp_path / "cfg.json"
     cfg_file.write_text(json.dumps({
         "mau_length": 20, "epochs": 2, "conv_channels": 2, "kernel_size": 3,
-        "res_blocks": 1, "gru_hidden": 4, "batch_size": 32,
+        "res_blocks": 1, "gru_hidden": 4, "batch_size": 32, "seed": 0,
     }))
     code = main([
         "train", "--config", str(cfg_file), "--legit-user", "u1",
-        "--out", str(out), "--seed", "0", str(data_root),
+        "--out", str(out), str(data_root),
     ])
     assert code == 0
     summary = json.loads(capsys.readouterr().out.strip())
@@ -677,7 +666,7 @@ def test_reports_never_land_in_the_corpus_root_of_an_input(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("command", ["sufficiency", "apen", "synth"])
-@pytest.mark.parametrize("user", ["", ".", "..", "../esc", "a/b"])
+@pytest.mark.parametrize("user", ["", ".", "..", "../esc", "a/b", "a\0b"])
 def test_a_user_name_is_one_path_component(tmp_path, capsys, command, user):
     (tmp_path / "s0.csv").write_text(to_session_csv(
         generate(SynthSpec("gaussian_iid", {"mean": 10, "std": 1}, 700, seed=3))))
@@ -750,8 +739,10 @@ def test_synth_command_round_trip(tmp_path, capsys):
     files = json.loads(capsys.readouterr().out.strip())["files"]
     assert len(files) == 2
     # emitted files are ingest-compatible
-    code = main(["sufficiency", "--user", "ua", "--out", str(tmp_path / "suf"),
-                 "--step-m", "200", files[0]])
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"step_m": 200}))
+    code = main(["sufficiency", "--config", str(cfg_file), "--user", "ua",
+                 "--out", str(tmp_path / "suf"), files[0]])
     assert code == 0
 
 
@@ -836,22 +827,27 @@ def test_a_config_file_naming_out_dir_exit_code(tmp_path, capsys):
     assert record["error"] == "ConfigError" and "out_dir" in record["message"]
 
 
-@pytest.mark.parametrize("command, flag, value, field", [
-    ("sufficiency", "--seed", "7", "seed"),
-    ("sufficiency", "--step-m", "50", "step_m"),
-    ("sufficiency", "--eps1", "0.5", "eps1"),
-    ("sufficiency", "--eps2", "0.25", "eps2"),
-    ("apen", "--slope-threshold", "0.125", "slope_threshold"),
-    ("train", "--mau-length", "40", "mau_length"),
-    ("train", "--epochs", "3", "epochs"),
-    ("train", "--ratio", "2.5", "pos_neg_ratio"),
-])
-def test_override_flag_sets_its_field(command, flag, value, field):
-    positional = {"sufficiency": ["--user", "u", "a.csv"], "apen": ["--user", "u", "a.csv"],
-                  "train": ["--legit-user", "u1", "data"]}[command]
-    cfg = load_config(build_parser().parse_args([command, flag, value, *positional]))
-    default = getattr(PipelineConfig(), field)
-    assert getattr(cfg, field) == type(default)(value) != default
+REMOVED_SETTING_FLAGS = ["--preset", "--seed", "--step-m", "--eps1", "--eps2",
+                         "--slope-threshold", "--mau-length", "--epochs", "--ratio"]
+POSITIONAL = {"sufficiency": ["--user", "u", "a.csv"], "apen": ["--user", "u", "a.csv"],
+              "train": ["--legit-user", "u1", "data"],
+              "eval": ["--legit-user", "u1", "m.json", "data"], "synth": ["specs.json"]}
+
+
+def test_no_setting_comes_from_the_command_line():
+    # the config file alone sets what a run computes, so its hash covers it
+    parser = build_parser()
+    subparsers, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(POSITIONAL)
+    fields = {f.name for f in dataclasses.fields(PipelineConfig)}
+    for command, sub in subparsers.choices.items():
+        assert not {action.dest for action in sub._actions} & fields, command
+        parser.parse_args([command, *POSITIONAL[command]])
+        for flag in REMOVED_SETTING_FLAGS:
+            value = "balabit" if flag == "--preset" else "1"
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args([command, flag, value, *POSITIONAL[command]])
+            assert exc.value.code == 2, (command, flag)
 
 
 def test_runtime_imports_no_scipy():
