@@ -150,11 +150,11 @@ def _sessions_to_velocities(cfg: PipelineConfig, paths, user_id):
 
 
 def _user_dirs(out: Path, users, inputs=()) -> list[Path]:
-    """Make <out>/<user> for each user once every user is checked: its name
-    must be one path component, and its directory must hold none of the
-    inputs, as the loader would read the reports written there as sessions.
-    Nor may <out> hold an input's directory: it is then that input's corpus
-    root, whose user directories the loader reads."""
+    """Make out and <out>/<user> for each user once every user is checked:
+    its name must be one path component, and its directory must hold none of
+    the inputs, as the loader would read the reports written there as
+    sessions. Nor may <out> hold an input's directory: it is then that
+    input's corpus root, whose user directories the loader reads."""
     dirs = [out / user for user in users]
     input_dirs = {Path(path).resolve().parent for path in inputs}
     for user, path in zip(users, dirs):
@@ -166,6 +166,7 @@ def _user_dirs(out: Path, users, inputs=()) -> list[Path]:
     if out.resolve() in {path.parent for path in input_dirs}:
         raise ConfigError(f"{out} is the corpus root of an input, so its reports would be "
                           "read as sessions; choose another --out")
+    out.mkdir(parents=True, exist_ok=True)
     for path in dirs:
         path.mkdir(exist_ok=True)
     return dirs
@@ -179,11 +180,12 @@ def _load_corpus(cfg: PipelineConfig, root: Path, legit_user: str, out: Path):
     depends on besides the MAU length, which the checkpoint's config
     carries. Train records it and eval checks it; its digest covers every
     speed the MAUs are cut from. Raises ConfigError if out is a user
-    directory of root.
+    directory of root, and makes out otherwise.
     """
     if out.resolve().parent == root.resolve():
         raise ConfigError(f"{out} is a user directory of {root}, so its reports would be "
                           "read as sessions; choose another --out")
+    out.mkdir(parents=True, exist_ok=True)
     users, parse_reports, digest = {}, {}, hashlib.sha256()
     for user_dir in sorted(p for p in root.iterdir() if p.is_dir()):
         paths = sorted(user_dir.glob("*.csv"))
@@ -378,8 +380,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
+        # each command makes out once its guard accepts it
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         cfg, name, summary = args.func(cfg, out, args)
         summary["config_hash"] = cfg.config_hash()
         summary["seed"] = cfg.seed

@@ -11,7 +11,8 @@ reimplementation reproduces the exact same streams:
     output = z ^ (z >> 31)
 
 Uniform doubles are output / 2^64; normals come from the Box-Muller
-transform on consecutive uniform pairs.
+transform on consecutive uniform pairs, through the platform's libm as
+math.log, math.cos and math.sin compute them.
 """
 
 from __future__ import annotations
@@ -63,11 +64,16 @@ class SplitMix64:
             u = ((z ^ (z >> np.uint64(31))).astype(float) / 2.0**64).reshape(-1, 2)
             # a pair with u1 = 0 (probability 2^-64) is dropped: log(0) guard
             pairs = np.concatenate([pairs, u[u[:, 0] > 0.0]])
-        out = []
-        for u1, u2 in pairs.tolist():
-            radius = math.sqrt(-2.0 * math.log(u1))
-            out += (radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2))
-        return np.array(out[:n], dtype=float)
+        # math's libm calls over lists, not numpy's ufuncs, whose SIMD log
+        # differs in the last bit on some inputs and CPUs; sqrt and the
+        # products are correctly rounded either way
+        k = len(pairs)
+        radius = np.sqrt(-2.0 * np.fromiter(map(math.log, pairs[:, 0].tolist()), float, k))
+        angle = ((2.0 * math.pi) * pairs[:, 1]).tolist()
+        out = np.empty_like(pairs)
+        out[:, 0] = radius * np.fromiter(map(math.cos, angle), float, k)
+        out[:, 1] = radius * np.fromiter(map(math.sin, angle), float, k)
+        return out.ravel()[:n]
 
 
 # each kind's parameter names and their defaults
@@ -180,9 +186,10 @@ def to_session_csv(vel: VelocitySequence) -> str:
     Positions integrate the speeds along x with y fixed at 0, so parsing the
     CSV and recomputing velocities round-trips the original sequence.
     """
-    lines = ["t,x,y", "0,0,0"]
-    x = 0.0
-    for i, v in enumerate(vel.v):
-        x += float(v) * vel.dt
-        lines.append(f"{(i + 1) * vel.dt!r},{x!r},0")
-    return "\n".join(lines) + "\n"
+    n, dt = len(vel.v), vel.dt
+    t = np.arange(1, n + 1) * dt
+    # a running sum from 0 in sample order, as a scalar loop would add; the
+    # float64 copy keeps a float32 input's products in float64
+    steps = np.concatenate([[0.0], np.asarray(vel.v, dtype=float) * dt])
+    x = np.add.accumulate(steps)[1:]
+    return "t,x,y\n0,0,0\n" + "".join(f"{a!r},{b!r},0\n" for a, b in zip(t.tolist(), x.tolist()))

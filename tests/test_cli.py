@@ -446,7 +446,7 @@ def test_repeated_session_id_exit_code(tmp_path, capsys):
     code = main(["sufficiency", "--user", "u1", "--out", str(out), *map(str, paths)])
     assert code == 1
     assert "session s0" in json.loads(capsys.readouterr().err.strip())["message"]
-    assert list(out.iterdir()) == []
+    assert not out.exists()
 
 
 def test_sufficiency_command(tmp_path, capsys):
@@ -679,6 +679,23 @@ def test_a_user_name_is_one_path_component(tmp_path, capsys, command, user):
     assert main(argv) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
     assert [p for p in (tmp_path / "w").rglob("*") if p != out] == []
+
+
+def test_a_rejected_train_out_is_not_made(tmp_path, capsys):
+    corpus = write_corpus(tmp_path / "corpus", users=("u1", "u2"), length=1500, sessions=1)
+    out = corpus / "u9"
+    assert main(["train", "--legit-user", "u1", "--out", str(out), str(corpus)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_a_rejected_synth_out_is_not_made(tmp_path, capsys):
+    spec_file = tmp_path / "spec.json"
+    spec_file.write_text(json.dumps({"..": [{"kind": "gaussian_iid", "length": 700}]}))
+    out = tmp_path / "fresh" / "out"
+    assert main(["synth", "--out", str(out), str(spec_file)]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "ConfigError"
+    assert not (tmp_path / "fresh").exists()
 
 
 def test_eval_idempotent(tmp_path, capsys):

@@ -5,8 +5,9 @@ import pytest
 
 from mouseauth.errors import MouseAuthError
 from mouseauth.ingest import SchemaMap, parse_session
-from mouseauth.kinematics import velocity_sequence
+from mouseauth.kinematics import VelocitySequence, velocity_sequence
 from mouseauth.synth import (
+    KINDS,
     SplitMix64,
     SynthSpec,
     generate,
@@ -27,7 +28,7 @@ def test_splitmix64_known_stream():
 
 
 @pytest.mark.parametrize("seed", [0, 12345, 2**64 - 1])
-@pytest.mark.parametrize("n", [1, 7, 1001])
+@pytest.mark.parametrize("n", [1, 2, 7, 1001, 14000])
 def test_normals_are_box_muller_over_uniform_pairs(seed, n):
     # normals mixes its uniforms as one uint64 array: it must give the
     # stream that the scalar next_u64 gives, and end in the same state
@@ -159,3 +160,33 @@ def test_csv_round_trip():
     assert report.dropped == 0
     recovered = velocity_sequence(session, dt=0.01)
     assert np.allclose(recovered.v, vel.v, rtol=1e-9, atol=1e-9)
+
+
+def csv_row_loop(vel):
+    # the scalar writer: each position is the previous one plus v * dt
+    lines = ["t,x,y", "0,0,0"]
+    x = 0.0
+    for i, v in enumerate(vel.v):
+        x += float(v) * vel.dt
+        lines.append(f"{(i + 1) * vel.dt!r},{x!r},0")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.37])
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@pytest.mark.parametrize("length", [1, 1500])
+def test_csv_bytes_equal_the_row_loop(kind, dt, length):
+    params = {"noise_std": 0.5} if kind == "sine_plus_noise" else {}
+    vel = generate(SynthSpec(kind, params, length, seed=7), dt=dt)
+    assert to_session_csv(vel) == csv_row_loop(vel)
+
+
+@pytest.mark.parametrize("dt", [0.001, 0.37])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_csv_bytes_equal_the_row_loop_on_zero_speeds_and_float32(dtype, dt):
+    v = (np.random.default_rng(3).random(500) * 40.0).astype(dtype)
+    v[::5] = 0.0
+    v[1::5] = -0.0
+    v[:3] = -0.0  # the first sum is 0.0 + -0.0
+    vel = VelocitySequence("u", "s", dt, v)
+    assert to_session_csv(vel) == csv_row_loop(vel)
