@@ -129,36 +129,27 @@ class _Workspace:
     A buffer is allocated when its name is first taken and reused by every
     later take that fits, so _forward over row blocks, largest first,
     allocates once. A taken array is a C-ordered prefix of its buffer, valid
-    until the name is taken again. A conv strip keeps the zeros of its pad
-    rows by never writing them: they sit at the same offsets for any batch
-    size.
+    until the name is taken again, and holds whatever the buffer last held.
     """
 
     def __init__(self):
         self._buffers: dict[str, np.ndarray] = {}
 
-    def take(self, name: str, shape: tuple[int, ...], zeros: bool = False) -> np.ndarray:
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
         buf = self._buffers.get(name)
         if buf is not None:
             size = math.prod(shape)
             if buf.size >= size:
                 return buf.reshape(-1)[:size].reshape(shape)
-        buf = self._buffers[name] = np.zeros(shape) if zeros else np.empty(shape)
+        buf = self._buffers[name] = np.empty(shape)
         return buf
 
 
-# A conv layer's (B, C, L) input map is kept channels-last in one strip of
-# B * S rows of C values, S = L + 2 * pad and pad = K // 2: row b * S + pad + l
-# holds x[b, :, l], and the pad rows around each window hold zeros. Output
-# row b * S + l (l < L) of a layer is y[b, :, l]; the rows between windows
-# straddle two of them and hold no output.
-
-def _rows(a: np.ndarray, B: int, L: int, pad: int, first: int = 0) -> np.ndarray:
-    """The (B, L, channels) view of rows b * S + first + l of a (B * S,
-    channels) array: a map in its strip (first = pad) or a conv's output
-    rows (first = 0)."""
-    return a.reshape(B, L + 2 * pad, a.shape[1])[:, first : first + L]
-
+# A conv layer's input map of L steps over B rows is kept time-major in a
+# C-ordered strip of shape (L + 2 * pad, C, B), pad = K // 2: strip[pad + l]
+# holds step l's channels, and the pad steps at each end hold zeros. So the
+# K * C * B values of steps l .. l + K - 1 are contiguous, and each output
+# step's window is a view of the strip.
 
 def _kernel(w: np.ndarray) -> np.ndarray:
     """An (O, C, K) conv kernel as the (K * C, O) matrix _conv multiplies by."""
@@ -166,58 +157,50 @@ def _kernel(w: np.ndarray) -> np.ndarray:
     return w.transpose(2, 1, 0).reshape(K * C, O)
 
 
-def _conv(strip: np.ndarray, kernel: np.ndarray, b: np.ndarray | None = None,
-          ws: _Workspace | None = None, name: str = "conv"):
+def _windows(strip: np.ndarray, L: int) -> np.ndarray:
+    """The (L, K * C, B) view of a strip whose l-th matrix is its steps
+    l .. l + K - 1; as_strided builds the same view with more per-call
+    overhead."""
+    S, C, B = strip.shape
+    return np.ndarray((L, (S - L + 1) * C, B), buffer=strip, strides=strip.strides)
+
+
+def _conv(strip: np.ndarray, kernel: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Length-preserving convolution of a strip by a kernel given as its
-    (K * C, O) matrix (_kernel).
+    (K * C, O) matrix (_kernel), written into the (L, O, B) out: one matmul
+    of the kernel's transpose over the windows, without a copy of them.
 
-    Row i of the (N, K * C) window matrix, N = B * S - 2 * pad, is the K * C
-    contiguous values of strip rows i .. i + K - 1, so the N output rows are
-    one GEMM. Returns the (B * S, O) output, its last 2 * pad rows unwritten,
-    and the window matrix, which backprop needs for the kernel gradient. Both
-    are written into ws under name, or into fresh arrays without one.
+    One row's windows are one (L, K * C) matrix, copied, as numpy would
+    otherwise take L matrix-vector products, which BLAS sums in another
+    order than the matrix product of a larger batch.
     """
-    KC, O = kernel.shape
-    rows = len(strip)
-    n = max(rows - (KC // strip.shape[1] - 1), 0)  # an empty batch has no windows
-    ws = ws or _Workspace()
-    # overlapping rows of the strip, viewed in place: as_strided builds the
-    # same view with more per-call overhead
-    win = ws.take(f"{name}.win", (n, KC))
-    np.copyto(win, np.ndarray((n, KC), buffer=strip, strides=strip.strides))
-    y = ws.take(f"{name}.out", (rows, O))
-    np.matmul(win, kernel, out=y[:n])
-    if b is not None:
-        y[:n] += b
-    return y, win
+    windows = _windows(strip, len(out))
+    if windows.shape[2] == 1:
+        np.matmul(windows[:, :, 0].copy(), kernel, out=out[:, :, 0])
+    else:
+        np.matmul(kernel.T, windows, out=out)
+    return out
 
 
-def _conv_grads(dy: np.ndarray, win: np.ndarray, w: np.ndarray):
-    """Kernel and bias gradients of _conv, given the output gradient as a
-    strip, its pad rows zero, and the window matrix of the forward call.
-
-    Output row i is strip row i + pad, so the rows that straddle two windows
-    meet pad rows and add nothing to the one GEMM.
-    """
-    O, C, K = w.shape
-    pad = K // 2
-    dw = win.T @ dy[pad : pad + len(win)]
-    # the bias gradient sums the rows, as a GEMV: sum(axis=0) over a few
-    # channels costs several times more
-    return dw.reshape(K, C, O).transpose(2, 1, 0), np.ones(len(dy)) @ dy
+def _conv_grads(dy: np.ndarray, strip: np.ndarray):
+    """Kernel and bias gradients of _conv over a strip, given the (L, O, B)
+    output gradient: each step's product with its window, summed over the
+    steps."""
+    L, O, _ = dy.shape
+    dw = np.matmul(dy, _windows(strip, L).transpose(0, 2, 1)).sum(axis=0)
+    return dw.reshape(O, -1, strip.shape[1]).transpose(0, 2, 1), dy.sum(axis=(0, 2))
 
 
-def _conv_adjoint(dy: np.ndarray, w: np.ndarray) -> np.ndarray:
+def _conv_adjoint(dy: np.ndarray, w: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Input gradient of _conv, given the output gradient as a strip with
-    zero pad rows; rows as in _conv's output.
+    zero pad steps, written into the (L, C, B) out.
 
     With K odd and symmetric zero padding, <conv(x, w) - b, dy> =
     <x, conv(dy, w')> for w'[c, o, k] = w[o, c, K-1-k], so it is the same
     convolution run with the kernel flipped along k and its channel axes
     swapped.
     """
-    dx, _ = _conv(dy, _kernel(w[:, :, ::-1].transpose(1, 0, 2)))
-    return dx
+    return _conv(dy, _kernel(w[:, :, ::-1].transpose(1, 0, 2)), out)
 
 
 def standardize_batch(x: np.ndarray) -> np.ndarray:
@@ -291,39 +274,45 @@ def _forward(weights: dict[str, np.ndarray], batch: np.ndarray, config: ModelCon
     activations, and so the returned cache, live in ws until its next use."""
     B, L = batch.shape
     C, H = config.conv_channels, config.gru_hidden
-    stem_pad, pad = config.kernel_size // 2, config.res_kernel // 2
+    pad = config.res_kernel // 2
 
     def strip(name, pad, channels):
-        """A zero-padded strip and its (B, L, channels) view of the map."""
-        s = ws.take(name, (B * (L + 2 * pad), channels), zeros=True)
-        return s, _rows(s, B, L, pad, pad)
+        """A strip, its pad steps zeroed, and its (L, channels, B) map."""
+        s = ws.take(name, (L + 2 * pad, channels, B))
+        s[:pad] = 0.0
+        s[pad + L :] = 0.0
+        return s, s[pad : pad + L]
 
-    x_strip, x_map = strip("stem.in", stem_pad, 1)
-    x_map[:, :, 0] = standardize_batch(batch) if config.standardize else batch
-    y, stem_win = _conv(x_strip, weights["stem_w"], weights["stem_b"], ws, "stem")
-    stem_pre = _rows(y, B, L, stem_pad)
+    def conv_relu(strip, w, b, out, skip=None):
+        """out = relu(conv(strip, weights[w]) + weights[b] (+ skip)), in
+        place; the adds and the ReLU run along the contiguous B axis."""
+        _conv(strip, weights[w], out)
+        out += weights[b][:, None]
+        if skip is not None:
+            out += skip
+        return np.maximum(out, 0.0, out=out)
+
+    x_strip, x = strip("stem.in", config.kernel_size // 2, 1)
+    x[:, 0] = (standardize_batch(batch) if config.standardize else batch).T
     h_strip, h = strip("res0.in", pad, C)
-    np.maximum(stem_pre, 0.0, out=h)
-    cache: dict = {"stem_win": stem_win, "stem_pre": stem_pre, "res": []}
+    conv_relu(x_strip, "stem_w", "stem_b", h)
 
     # each ReLU writes into the next conv's strip, and the last one into the
-    # GRU's (L, C + 1, B) input, whose last row holds ones for the biases
+    # GRU's (L, C + 1, B) input, whose last row holds ones for the biases.
+    # Backward reads each conv's input strip, and its ReLU's mask from the
+    # output: relu(a) > 0 exactly where a > 0
     gru_in = ws.take("gru.in", (L, C + 1, B))
+    cache: dict = {"conv_in": [x_strip]}
     for i in range(config.res_blocks):
-        y1, win1 = _conv(h_strip, weights[f"res{i}_w1"], weights[f"res{i}_b1"], ws, f"res{i}.1")
-        y1_pre = _rows(y1, B, L, pad)
         mid_strip, mid = strip(f"res{i}.mid", pad, C)
-        np.maximum(y1_pre, 0.0, out=mid)
-        y2, win2 = _conv(mid_strip, weights[f"res{i}_w2"], weights[f"res{i}_b2"], ws, f"res{i}.2")
-        n = len(win2)
-        y2[:n] += h_strip[pad : pad + n]  # the skip: output row r is strip row r + pad
-        pre = _rows(y2, B, L, pad)
-        cache["res"].append({"win1": win1, "y1_pre": y1_pre, "win2": win2, "pre": pre})
+        conv_relu(h_strip, f"res{i}_w1", f"res{i}_b1", mid)
         if i + 1 < config.res_blocks:
-            h_strip, h = strip(f"res{i + 1}.in", pad, C)
+            out_strip, out = strip(f"res{i + 1}.in", pad, C)
         else:
-            h = gru_in[:, :C].transpose(2, 0, 1)
-        np.maximum(pre, 0.0, out=h)
+            out_strip, out = None, gru_in[:, :C]
+        conv_relu(mid_strip, f"res{i}_w2", f"res{i}_b2", out, skip=h)
+        cache["conv_in"] += [h_strip, mid_strip]
+        h_strip, h = out_strip, out
 
     # gated recurrent scan over the L time steps of channel vectors, feature
     # major: step t's input, state and gates are (features, B) blocks, so
@@ -464,35 +453,36 @@ def backward(
         grads[f"gru_w{gate}"], grads[f"gru_b{gate}"] = gate_rows[:, :C].T, gate_rows[:, C]
     grads["gru_uz"], grads["gru_ur"] = du_zr[:H].T, du_zr[H:].T
     grads["gru_uc"] = np.matmul(dgate[:, H2:], rh.transpose(0, 2, 1)).sum(axis=0).T
-    w = np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1)
-    dout = np.matmul(w, dgate).transpose(2, 0, 1)  # (B, L, C)
 
-    # conv layers, back to front. A gradient strip's pad rows are zero, so it
-    # serves both the kernel gradient and the adjoint
-    def masked_strip(g, pre, pad):
-        """A strip holding g where the (B, L, C) pre-activation pre > 0."""
-        s = np.zeros((B * (L + 2 * pad), C))
-        np.multiply(g, pre > 0, out=_rows(s, B, L, pad, pad))
-        return s
+    # conv layers, back to front. Each conv's pre-activation gradient is the
+    # (L, C, B) map of a strip whose zero pad steps the adjoint reads, masked
+    # by its ReLU's output; the last conv's comes from the GRU's input
+    # weights with no transpose
+    def grad_strip(pad):
+        s = np.zeros((L + 2 * pad, C, B))
+        return s, s[pad : pad + L]
 
     pad = config.res_kernel // 2
+    ins = cache["conv_in"]
+    w = np.concatenate([params["gru_wz"], params["gru_wr"], params["gru_wc"]], axis=1)
+    dpre_strip, dpre = grad_strip(pad)
+    np.matmul(w, dgate, out=dpre)
+    np.multiply(dpre, cache["gru_in"][:, :C] > 0, out=dpre)
     for i in range(config.res_blocks - 1, -1, -1):
-        blk = cache["res"][i]
-        dpre = masked_strip(dout, blk["pre"], pad)
-        grads[f"res{i}_w2"], grads[f"res{i}_b2"] = _conv_grads(dpre, blk["win2"],
-                                                               params[f"res{i}_w2"])
-        dmid = _conv_adjoint(dpre, params[f"res{i}_w2"])
-        dy1 = masked_strip(_rows(dmid, B, L, pad), blk["y1_pre"], pad)
-        grads[f"res{i}_w1"], grads[f"res{i}_b1"] = _conv_grads(dy1, blk["win1"],
-                                                               params[f"res{i}_w1"])
-        dx = _conv_adjoint(dy1, params[f"res{i}_w1"])
-        n = len(blk["win1"])
-        dx[:n] += dpre[pad : pad + n]  # skip connection
-        dout = _rows(dx, B, L, pad)
-
-    # the stem's input is the data, so it needs no input gradient
-    dstem = masked_strip(dout, cache["stem_pre"], config.kernel_size // 2)
-    grads["stem_w"], grads["stem_b"] = _conv_grads(dstem, cache["stem_win"], params["stem_w"])
+        in_strip, mid_strip = ins[2 * i + 1], ins[2 * i + 2]
+        grads[f"res{i}_w2"], grads[f"res{i}_b2"] = _conv_grads(dpre, mid_strip)
+        dmid_strip, dmid = grad_strip(pad)
+        _conv_adjoint(dpre_strip, params[f"res{i}_w2"], dmid)
+        np.multiply(dmid, mid_strip[pad : pad + L] > 0, out=dmid)
+        grads[f"res{i}_w1"], grads[f"res{i}_b1"] = _conv_grads(dmid, in_strip)
+        # the stem's output gradient needs no pad steps: the stem's input is
+        # the data, so it takes no adjoint
+        din_strip, din = grad_strip(pad if i else 0)
+        _conv_adjoint(dmid_strip, params[f"res{i}_w1"], din)
+        din += dpre  # skip connection
+        np.multiply(din, in_strip[pad : pad + L] > 0, out=din)
+        dpre_strip, dpre = din_strip, din
+    grads["stem_w"], grads["stem_b"] = _conv_grads(dpre, ins[0])
     return grads
 
 

@@ -116,9 +116,12 @@ def test_sequence_length_preserved():
     params = init_params(TINY)
     _, cache = forward(params, tiny_batch(), TINY)
     L = TINY.input_length
-    assert cache["stem_pre"].shape[1] == L
-    for blk in cache["res"]:
-        assert blk["pre"].shape[1] == L
+    # each conv's input strip holds the L steps between its pad steps
+    stem_in, *res_in = cache["conv_in"]
+    assert stem_in.shape[0] == L + 2 * (TINY.kernel_size // 2)
+    assert len(res_in) == 2 * TINY.res_blocks
+    for strip in res_in:
+        assert strip.shape[0] == L + 2 * (TINY.res_kernel // 2)
     assert cache["gru_in"].shape[0] == L
 
 
@@ -144,9 +147,9 @@ def test_residual_identity_with_zero_weights():
     params["res0_b2"][:] = 0
     _, cache = forward(params, tiny_batch(), TINY)
     # block input is post-ReLU (non-negative), so out = relu(0 + in) = in
-    blk = cache["res"][0]
-    out = np.maximum(blk["pre"], 0)
-    assert np.array_equal(out, np.maximum(cache["stem_pre"], 0))
+    pad = TINY.res_kernel // 2
+    block_in = cache["conv_in"][1][pad : pad + TINY.input_length]
+    assert np.array_equal(cache["gru_in"][:, : TINY.conv_channels], block_in)
 
 
 # ---------------------------------------------------------------------------
@@ -309,17 +312,17 @@ def conv1d_by_taps(x, w, b):
 
 
 def to_strip(x, pad):
-    """A (B, C, L) map as its channels-last strip: B * (L + 2 pad) rows of C,
-    row b * (L + 2 pad) + pad + l holding x[b, :, l], the others zero."""
+    """A (B, C, L) map as its time-major strip of shape (L + 2 pad, C, B):
+    strip[pad + l, c, b] holds x[b, c, l], and the pad steps are zero."""
     B, C, L = x.shape
-    strip = np.zeros((B, L + 2 * pad, C))
-    strip[:, pad : pad + L] = x.transpose(0, 2, 1)
-    return strip.reshape(B * (L + 2 * pad), C)
+    strip = np.zeros((L + 2 * pad, C, B))
+    strip[pad : pad + L] = x.transpose(2, 1, 0)
+    return strip
 
 
-def from_output_rows(y, B, L, pad):
-    """The (B, O, L) map held in a conv's output rows b * (L + 2 pad) + l."""
-    return y.reshape(B, L + 2 * pad, y.shape[1])[:, :L].transpose(0, 2, 1)
+def from_steps(y):
+    """The (B, O, L) map of a conv's (L, O, B) output."""
+    return y.transpose(2, 1, 0)
 
 
 @pytest.mark.parametrize("K", [1, 3, 5, 7])
@@ -332,18 +335,53 @@ def test_conv1d_matches_tap_sum_and_its_adjoint(K, B, L):
     b = rng.normal(size=3)
     dy = rng.normal(size=(B, 3, L))
     pad = K // 2
-    out, win = _conv(to_strip(x, pad), _kernel(w), b)
-    y = from_output_rows(out, B, L, pad)
+    x_strip, dy_strip = to_strip(x, pad), to_strip(dy, pad)
+    y = from_steps(_conv(x_strip, _kernel(w), np.empty((L, 3, B)))) + b[:, None]
     assert y.shape == (B, 3, L)
     assert np.max(np.abs(y - conv1d_by_taps(x, w, b)), initial=0.0) <= 1e-12
-    dw, db = _conv_grads(to_strip(dy, pad), win, w)
-    dx = from_output_rows(_conv_adjoint(to_strip(dy, pad), w), B, L, pad)
+    dw, db = _conv_grads(dy_strip[pad : pad + L], x_strip)
+    dx = from_steps(_conv_adjoint(dy_strip, w, np.empty((L, 2, B))))
     # conv(x, w) - b is bilinear in x and w, so dy's inner product with it
     # equals both <x, dx> and <w, dw>
     lhs = np.vdot(y - b[:, None], dy)
     assert abs(lhs - np.vdot(x, dx)) <= 1e-12
     assert abs(lhs - np.vdot(w, dw)) <= 1e-12
     assert np.max(np.abs(db - dy.sum(axis=(0, 2)))) <= 1e-12
+
+
+def conv_stack_by_taps(params, batch, config):
+    """The (B, C, L) map the conv stack hands the GRU, by conv1d_by_taps:
+    the stem over the standardized rows, then each residual block, with
+    their ReLUs and skips."""
+    centred = batch - batch.mean(axis=1, keepdims=True)
+    x = centred / np.maximum(batch.std(axis=1, keepdims=True), 1e-8)
+    h = np.maximum(conv1d_by_taps(x[:, None], params["stem_w"], params["stem_b"]), 0.0)
+    for i in range(config.res_blocks):
+        mid = np.maximum(conv1d_by_taps(h, params[f"res{i}_w1"], params[f"res{i}_b1"]), 0.0)
+        h = np.maximum(conv1d_by_taps(mid, params[f"res{i}_w2"], params[f"res{i}_b2"]) + h, 0.0)
+    return h
+
+
+@pytest.mark.parametrize("config", [
+    ModelConfig(input_length=30, conv_channels=8, kernel_size=5, res_blocks=1,
+                res_kernel=3, gru_hidden=16, seed=0),
+    ModelConfig(input_length=11, conv_channels=5, kernel_size=3, res_blocks=2,
+                res_kernel=7, gru_hidden=6, seed=4),
+], ids=["benchmark", "two_blocks_unequal_pads"])
+def test_the_gru_input_is_the_conv_stack_by_taps(config):
+    # the smaller blocks reuse the larger ones' buffers, so their strips'
+    # pad steps land on values an earlier block wrote
+    params = init_params(config)
+    rng = np.random.default_rng(config.input_length)
+    for name in ["stem_b"] + [f"res{i}_b{j}" for i in range(config.res_blocks) for j in (1, 2)]:
+        params[name] = rng.normal(size=params[name].shape)
+    weights, ws, C = _prepare(params, config), _Workspace(), config.conv_channels
+    X = rng.normal(10.0, 3.0, size=(128, config.input_length))
+    for n in (128, 32, 22, 1):
+        expected = conv_stack_by_taps(params, X[:n], config)
+        for cache in (forward(params, X[:n], config)[1], _forward(weights, X[:n], config, ws)[1]):
+            got = cache["gru_in"][:, :C].transpose(2, 1, 0)
+            assert np.max(np.abs(got - expected)) <= 1e-12, n
 
 
 # ---------------------------------------------------------------------------
