@@ -53,13 +53,6 @@ class EvalReport:
     dsr_at_eer: float | None = None
 
 
-def _require_both_classes(scored: ScoredSet):
-    if len(scored.scores) == 0:
-        raise MouseAuthError("empty score set")
-    if len(np.unique(scored.labels)) < 2:
-        raise MouseAuthError("need at least one legitimate and one imposter sample")
-
-
 def confusion_counts(scored: ScoredSet, threshold: float) -> dict:
     # a NaN threshold would reject every sample, an infinite one decide all alike
     _require_finite(threshold, "threshold")
@@ -74,46 +67,42 @@ def confusion_counts(scored: ScoredSet, threshold: float) -> dict:
 
 
 def f1_score(scored: ScoredSet, threshold: float = DECISION_THRESHOLD) -> float:
-    """Harmonic mean of precision and recall; legitimate is the positive class."""
+    """Harmonic mean of precision and recall, 2tp / (2tp + fp + fn) with one
+    rounding; legitimate is the positive class, and no true positive gives 0."""
     if len(scored.scores) == 0:
         raise MouseAuthError("empty score set")
     c = confusion_counts(scored, threshold)
-    tp, fp, fn = c["tp"], c["fp"], c["fn"]
-    precision = tp / (tp + fp) if tp + fp else 0.0
-    recall = tp / (tp + fn) if tp + fn else 0.0
-    if precision + recall == 0.0:
-        return 0.0
-    return 2.0 * precision * recall / (precision + recall)
-
-
-def roc_auc(scored: ScoredSet) -> float:
-    """Mann-Whitney AUC: fraction of (legit, imposter) pairs ranked correctly,
-    ties counted half."""
-    _require_both_classes(scored)
-    legit = scored.scores[scored.labels == LEGIT]
-    imp = np.sort(scored.scores[scored.labels != LEGIT])
-    # twice the count of imposters below each legit score, plus the ties
-    twice_wins = np.searchsorted(imp, legit, "left") + np.searchsorted(imp, legit, "right")
-    return float(twice_wins.sum() / 2.0 / (len(legit) * len(imp)))
+    return 2 * c["tp"] / (2 * c["tp"] + c["fp"] + c["fn"]) if c["tp"] else 0.0
 
 
 def _sweep(scored: ScoredSet):
-    """Ascending thresholds (all distinct scores plus {0, 1}) and the FAR,
-    FRR and TPR at each, accepting iff score >= t.
+    """Ascending thresholds (all distinct scores plus {0, 1}) and, for each
+    class, the samples accepted (score >= t) at each, as integers. The first
+    threshold accepts every sample, so the first counts are the class sizes.
 
     Each class is sorted once and every threshold found in it by binary
     search (Fawcett 2006, Alg. 1): O((N + T) log N), not O(N * T).
     """
-    _require_both_classes(scored)
     legit = np.sort(scored.scores[scored.labels == LEGIT])
     imp = np.sort(scored.scores[scored.labels == IMPOSTER])
+    if len(scored.scores) == 0:
+        raise MouseAuthError("empty score set")
+    if not (len(legit) and len(imp)):
+        raise MouseAuthError("need at least one legitimate and one imposter sample")
     thresholds = np.unique(np.concatenate([scored.scores, [0.0, 1.0]]))
-    legit_rejected = np.searchsorted(legit, thresholds, side="left")
-    imp_rejected = np.searchsorted(imp, thresholds, side="left")
-    far = (len(imp) - imp_rejected) / len(imp)
-    frr = legit_rejected / len(legit)
-    tpr = (len(legit) - legit_rejected) / len(legit)
-    return thresholds, far, frr, tpr
+    legit_accepted = len(legit) - np.searchsorted(legit, thresholds, side="left")
+    imp_accepted = len(imp) - np.searchsorted(imp, thresholds, side="left")
+    return thresholds, legit_accepted, imp_accepted
+
+
+def roc_auc(scored: ScoredSet) -> float:
+    """Mann-Whitney AUC: fraction of (legit, imposter) pairs ranked correctly,
+    ties counted half (Hanley & McNeil 1982)."""
+    _, legit_accepted, imp_accepted = _sweep(scored)
+    # every score is a threshold, so the next one counts the samples above
+    legit_above, imp_above = np.append(legit_accepted[1:], 0), np.append(imp_accepted[1:], 0)
+    twice_wins = (imp_accepted - imp_above) @ (legit_accepted + legit_above)
+    return float(twice_wins / 2.0 / (legit_accepted[0] * imp_accepted[0]))
 
 
 def eer(scored: ScoredSet) -> tuple[float, float]:
@@ -121,15 +110,15 @@ def eer(scored: ScoredSet) -> tuple[float, float]:
 
     Sweeps all distinct scores plus {0, 1}; FAR is the imposter accept rate
     and FRR the legitimate reject rate at threshold t (accept iff score >= t).
-    Ties on |FAR - FRR| break toward the lower threshold.
+    |FAR - FRR| is compared exactly, as n_legit * n_imp * |FAR - FRR| in
+    integers, and a tie goes to the lowest threshold.
     """
-    thresholds, far, frr, _ = _sweep(scored)
-    gap = np.abs(far - frr).tolist()
-    best = 0
-    for i, g in enumerate(gap):
-        if g < gap[best] - 1e-15:
-            best = i
-    return float((far[best] + frr[best]) / 2.0), float(thresholds[best])
+    thresholds, legit_accepted, imp_accepted = _sweep(scored)
+    n_legit, n_imp = legit_accepted[0], imp_accepted[0]
+    legit_rejected = n_legit - legit_accepted
+    best = np.argmin(np.abs(imp_accepted * n_legit - legit_rejected * n_imp))
+    far, frr = imp_accepted[best] / n_imp, legit_rejected[best] / n_legit
+    return float((far + frr) / 2.0), float(thresholds[best])
 
 
 def dsr(attack_scores: np.ndarray, threshold: float = DECISION_THRESHOLD) -> float:
@@ -272,6 +261,7 @@ def report_scores(scored: ScoredSet, unseen_mask: list[bool]) -> EvalReport:
 
 def roc_curve_csv(scored: ScoredSet) -> str:
     """FAR/TPR pairs over the threshold sweep, as CSV for plotting."""
-    _, far, _, tpr = _sweep(scored)
-    rows = zip(far[::-1].tolist(), tpr[::-1].tolist())
+    _, legit_accepted, imp_accepted = _sweep(scored)
+    far, tpr = imp_accepted[::-1] / imp_accepted[0], legit_accepted[::-1] / legit_accepted[0]
+    rows = zip(far.tolist(), tpr.tolist())
     return "far,tpr\n" + "".join(f"{f!r},{t!r}\n" for f, t in rows)

@@ -261,11 +261,13 @@ def test_eval_checkpoint_with_wrongly_typed_config_exit_code(tmp_path, capsys, e
     assert record["error"] == "MouseAuthError" and next(iter(edit)) in record["message"]
 
 
-@pytest.mark.parametrize("value", ["null", "1e999", '{"a": 1}', '"0.1"', "true"])
+@pytest.mark.parametrize("value", ["null", "1e999", '{"a": 1}', '"0.1"', "true",
+                                   pytest.param("1" + "0" * 400, id="int_past_float_range")])
 def test_eval_checkpoint_with_a_bad_parameter_exit_code(tmp_path, capsys, value):
     # JSON null reads as NaN and 1e999 as inf, which would score every
-    # window NaN; an object does not convert at all, and float() would read
-    # a numeric string or a bool as a number
+    # window NaN; an object does not convert at all, float() would read a
+    # numeric string or a bool as a number, and an integer past the float
+    # range does not convert to a float
     ckpt = tmp_path / "model.json"
     config = model.ModelConfig(input_length=30)
     model.save_checkpoint(ckpt, model.init_params(config), config)
@@ -402,6 +404,13 @@ def test_train_on_an_unknown_legit_user_is_a_config_error(tmp_path, capsys):
         record = json.loads(capsys.readouterr().err.strip())
         assert record["error"] == "ConfigError" and repr(user) in record["message"]
         assert not (tmp_path / "out" / f"train_{user}.json").exists()
+    # a data root whose one user directory holds no session CSV holds no user
+    (tmp_path / "empty" / "u1").mkdir(parents=True)
+    assert main(["train", "--legit-user", "u1", "--out", str(tmp_path / "out"),
+                 str(tmp_path / "empty")]) == 2
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ConfigError"
+    assert "no per-user subdirectories with CSVs" in record["message"]
 
 
 @pytest.mark.parametrize("legit_user, settings, key", [

@@ -61,6 +61,7 @@ def brute_force_eer(scores, labels):
     ([0.9, 0.8, 0.2, 0.1], [1, 2, 0, 0], "labels must be 0 or 1"),
     ([0.9, 0.8, 0.2, 0.1], [1, 1, 0.5, 0], "labels must be 0 or 1"),
     ([0.9, 0.8, 0.2, 0.1], [1, 1, 0, -1], "labels must be 0 or 1"),
+    ([0.9, 0.8, 0.2], [1, 1, 0, 0], "scores and labels must have equal length"),
 ])
 def test_scored_set_rejects_non_finite_scores_and_other_labels(scores, labels, message):
     # a NaN score used to sort above every other one (roc_auc 1.0 on the
@@ -84,14 +85,20 @@ def test_f1_all_rejected():
 
 
 def test_f1_hand_confusion_matrix():
-    # TP=2 FP=1 FN=1 -> P=R=2/3 -> F1=2/3
-    s = scored([0.9, 0.8, 0.1, 0.7, 0.2], [1, 1, 1, 0, 0])
-    assert f1_score(s, 0.5) == pytest.approx(2 / 3)
+    # F1 = 2tp / (2tp + fp + fn), rounded once: TP=2 FP=1 FN=1 gives 2/3, and
+    # TP=382 FP=503 FN=18 gives 764/1285, one ulp above the harmonic mean of
+    # the rounded precision and recall
+    for tp, fp, fn, want in [(2, 1, 1, 2 / 3), (382, 503, 18, 764 / 1285)]:
+        s = scored([0.9] * tp + [0.1] * fn + [0.7] * fp + [0.2],
+                   [1] * (tp + fn) + [0] * (fp + 1))
+        assert confusion_counts(s, 0.5) == {"tp": tp, "fp": fp, "tn": 1, "fn": fn}
+        assert f1_score(s, 0.5) == want
 
 
 def test_f1_empty():
-    with pytest.raises(MouseAuthError, match="empty score set"):
-        f1_score(scored([], []), 0.5)
+    for metric in (f1_score, roc_auc, eer):
+        with pytest.raises(MouseAuthError, match="empty score set"):
+            metric(scored([], []))
 
 
 @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
@@ -189,6 +196,16 @@ def test_eer_matches_brute_force():
         want = brute_force_eer(scores, labels)
         assert got[0] == pytest.approx(want[0], abs=1e-12)
         assert got[1] == pytest.approx(want[1], abs=1e-12)
+
+
+def test_eer_tie_goes_to_the_lower_threshold():
+    # at 0.6, FAR 3/6 and FRR 2/6; at 0.7, FAR 1/6 and FRR 2/6. Both gaps are
+    # 1/6, but as floats the first is 0.16666666666666669 and the second
+    # 0.16666666666666666, so a float argmin would pick 0.7
+    s = scored([0.0, 0.7, 0.9, 0.9, 0.9, 0.2, 1.0, 0.6, 0.2, 0.1, 0.1, 0.6],
+               [1] * 6 + [0] * 6)
+    assert abs(3 / 6 - 2 / 6) > abs(1 / 6 - 2 / 6)
+    assert eer(s) == ((3 / 6 + 2 / 6) / 2, 0.6)
 
 
 def test_eer_threshold_in_range():
@@ -323,6 +340,12 @@ def test_split_insufficient_users():
     for form in FORMS:
         with pytest.raises(MouseAuthError, match="need >= 3 users, have 2"):
             build_splits(make_users(form, n_users=2), "u0", unseen_count=1)
+        users = make_users(form, n_users=3)
+        with pytest.raises(MouseAuthError, match="unknown legitimate user 'u9'"):
+            build_splits(users, "u9")
+        # one MAU cannot be split into a train and a test part
+        with pytest.raises(MouseAuthError, match="u0: too few MAUs to split"):
+            build_splits({**users, "u0": users["u0"][:1]}, "u0")
 
 
 def without_maus(users, user):

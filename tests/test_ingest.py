@@ -74,6 +74,10 @@ def test_a_file_without_a_valid_row_is_a_session_with_no_events(data, dropped):
 def test_missing_column():
     with pytest.raises(MouseAuthError, match="s: missing column"):
         parse_session(b"t,x\n0,0\n", SCHEMA, "u", "s")
+    # a header field past the csv module's limit leaves no header to read
+    long = "t" * (csv.field_size_limit() + 1)
+    with pytest.raises(MouseAuthError, match="s: unreadable header"):
+        parse_session(f"t,x,y,{long}\n0,0,0,a\n".encode(), SCHEMA, "u", "s")
 
 
 def test_distinct_columns_required():

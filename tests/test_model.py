@@ -416,6 +416,8 @@ def test_adam_shape_mismatch():
         adam_step(params, grads, AdamState.zeros_like(params), TrainConfig())
     with pytest.raises(MouseAuthError, match="Adam state holds 4 values, the parameters 3"):
         adam_step(params, params, AdamState.zeros_like(grads), TrainConfig())
+    with pytest.raises(MouseAuthError, match="gradient names do not match parameters"):
+        adam_step(params, {"v": np.zeros(3)}, AdamState.zeros_like(params), TrainConfig())
 
 
 def per_tensor_adam(params, grads, m, v, t, learning_rate):

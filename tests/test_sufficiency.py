@@ -20,6 +20,7 @@ from mouseauth.sufficiency import (
     kl_divergence,
     silverman_bandwidth,
     sufficiency_point,
+    DensityEstimate,
     SufficiencyReport,
 )
 from mouseauth.synth import SplitMix64, SynthSpec, generate
@@ -229,6 +230,11 @@ def test_kl_self_zero():
     grid = np.linspace(-6, 6, 512)
     p = kde(samples, grid, 0.3)
     assert kl_divergence(p, p) == 0.0
+    # q a hair above p everywhere gives a KL of about -1e-12, which the
+    # clamp takes for integration error; at -1e-6 the value stands
+    for scale, want in [(1 + 1e-12, 0.0), (1 + 1e-6, -1e-6)]:
+        q = DensityEstimate(grid, p.density * scale)
+        assert kl_divergence(p, q) == pytest.approx(want, rel=1e-3, abs=0)
 
 
 def test_kl_gaussian_oracle():

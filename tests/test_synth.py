@@ -86,6 +86,13 @@ def test_invalid_specs():
         generate(SynthSpec("ar1", {"phi": 1.2}, 100, seed=0))
     with pytest.raises(MouseAuthError, match="std must be positive"):
         generate(SynthSpec("gaussian_iid", {"std": -1}, 100, seed=0))
+    with pytest.raises(MouseAuthError, match="sigma must be positive"):
+        SynthSpec("ar1", {"sigma": 0}, 100)
+    for params in [{"amplitude": 0}, {"period": -2.0}]:
+        with pytest.raises(MouseAuthError, match="amplitude and period must be positive"):
+            SynthSpec("sine_plus_noise", params, 100)
+    with pytest.raises(MouseAuthError, match="noise_std must be >= 0"):
+        SynthSpec("sine_plus_noise", {"noise_std": -0.1}, 100)
     with pytest.raises(MouseAuthError, match="unknown kind 'nope'"):
         generate(SynthSpec("nope", {}, 100, seed=0))
     with pytest.raises(MouseAuthError, match="length must be >= 1"):
